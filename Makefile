@@ -1,8 +1,8 @@
 PYTHON ?= python
 
-.PHONY: lint lint-json lint-project test compile check bench-smoke \
-	bench-kernel bench-scale bench-store trace-smoke chaos-smoke \
-	serve-smoke store-smoke
+.PHONY: lint lint-json lint-project test bench-collect compile check \
+	bench-smoke bench-kernel bench-scale bench-store trace-smoke \
+	chaos-smoke serve-smoke store-smoke
 
 lint:
 	PYTHONPATH=tools $(PYTHON) -m reprolint src/repro
@@ -17,6 +17,11 @@ lint-project:
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
+
+# imports every benchmark module without running it, so a benchmark
+# that still uses a removed name fails fast
+bench-collect:
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks --collect-only -q
 
 compile:
 	$(PYTHON) -m compileall -q src
@@ -76,4 +81,4 @@ store-smoke:
 		tests/test_store.py
 	PYTHONPATH=src $(PYTHON) tools/store_smoke.py
 
-check: compile lint lint-project test
+check: compile lint lint-project test bench-collect

@@ -14,14 +14,13 @@ import time
 
 import pytest
 
+from repro.core import PipelineConfig, run_tattoo
 from repro.datasets import NetworkConfig, generate_network
 from repro.patterns import PatternBudget
 from repro.tattoo import (
     NetworkMaintainer,
     NetworkMaintenanceConfig,
     NetworkUpdate,
-    TattooConfig,
-    select_network_patterns,
 )
 from repro.truss import edge_support
 
@@ -90,8 +89,8 @@ def test_e11_localized_vs_full_rerun(benchmark):
             update = burst(maintainer, rng, new_nodes=4, new_edges=14)
             report = maintainer.apply_update(update)
             start = time.perf_counter()
-            select_network_patterns(maintainer.network, budget,
-                                    TattooConfig(seed=1))
+            run_tattoo(maintainer.network,
+                       PipelineConfig(budget=budget, seed=1))
             rerun = time.perf_counter() - start
             totals[0] += report.duration
             totals[1] += rerun

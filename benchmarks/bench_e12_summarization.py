@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import PipelineConfig, run_tattoo
 from repro.datasets import NetworkConfig, generate_network
 from repro.patterns import PatternBudget, cognitive_load
 from repro.summary import label_grouping_summary, summarize_with_patterns
-from repro.tattoo import TattooConfig, select_network_patterns
 from repro.vqi import visual_complexity
 
 from conftest import print_table
@@ -26,8 +26,8 @@ def test_e12_pattern_vs_label_summary(benchmark):
             NetworkConfig(nodes=250, cliques=10, petals=6, flowers=5),
             seed=31)
         budget = PatternBudget(6, min_size=4, max_size=8)
-        selection = select_network_patterns(network, budget,
-                                            TattooConfig(seed=1))
+        selection = run_tattoo(network,
+                               PipelineConfig(budget=budget, seed=1))
         pattern_based = summarize_with_patterns(
             network, list(selection.patterns), max_instances=40)
         label_based = label_grouping_summary(network)

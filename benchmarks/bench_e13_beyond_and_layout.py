@@ -17,9 +17,9 @@ import random
 
 import pytest
 
+from repro.core import PipelineConfig, run_catapult
 from repro.graph import gnm_random_graph
 from repro.patterns import PatternBudget
-from repro.catapult import CatapultConfig, select_canned_patterns
 from repro.timeseries import (
     SketchBudget,
     SketchVQI,
@@ -73,8 +73,8 @@ def test_e13_layout_optimization(benchmark):
 
 def test_e13_panel_arrangement(benchmark, small_chem_repo):
     budget = PatternBudget(8, min_size=4, max_size=8)
-    selection = select_canned_patterns(small_chem_repo, budget,
-                                       CatapultConfig(seed=1))
+    selection = run_catapult(small_chem_repo,
+                             PipelineConfig(budget=budget, seed=1))
     panel = list(selection.patterns)
 
     def measure():

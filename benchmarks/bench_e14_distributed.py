@@ -13,13 +13,10 @@ import time
 
 import pytest
 
+from repro.core import PipelineConfig, run_tattoo
 from repro.datasets import NetworkConfig, generate_network
 from repro.patterns import PatternBudget, pattern_set_score
-from repro.tattoo import (
-    TattooConfig,
-    select_network_patterns,
-    select_patterns_distributed,
-)
+from repro.tattoo import TattooConfig, select_patterns_distributed
 
 from conftest import print_table
 
@@ -31,8 +28,7 @@ def test_e14_makespan_vs_single_machine(benchmark):
                           flowers=12), seed=47)
         budget = PatternBudget(8, min_size=4, max_size=8)
         start = time.perf_counter()
-        single = select_network_patterns(network, budget,
-                                         TattooConfig(seed=1))
+        single = run_tattoo(network, PipelineConfig(budget=budget, seed=1))
         single_time = time.perf_counter() - start
         rows = []
         results = {}

@@ -16,7 +16,7 @@ import random
 
 import pytest
 
-from repro.catapult import CatapultConfig, select_canned_patterns
+from repro.core import PipelineConfig, run_catapult
 from repro.datasets import sample_connected_subgraph
 from repro.clustering import mine_frequent_trees
 from repro.patterns import (
@@ -76,8 +76,8 @@ def test_e1_quality_vs_baselines(benchmark, chem_repo, budget_size):
     budget = PatternBudget(budget_size, min_size=4, max_size=8)
 
     result = benchmark.pedantic(
-        lambda: select_canned_patterns(chem_repo, budget,
-                                       CatapultConfig(seed=1)),
+        lambda: run_catapult(chem_repo,
+                             PipelineConfig(budget=budget, seed=1)),
         rounds=1, iterations=1)
     catapult_patterns = list(result.patterns)
     rows = [
@@ -116,9 +116,8 @@ def test_e1_score_ablation(benchmark, chem_repo):
 
     def run_all():
         return {
-            name: select_canned_patterns(
-                chem_repo, budget,
-                CatapultConfig(seed=1, weights=weights))
+            name: run_catapult(chem_repo, PipelineConfig(
+                budget=budget, seed=1, weights=weights))
             for name, weights in variants.items()
         }
 

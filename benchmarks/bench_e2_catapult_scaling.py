@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from repro.catapult import CatapultConfig, select_canned_patterns
+from repro.core import PipelineConfig, run_catapult
 from repro.datasets import generate_chemical_repository
 from repro.patterns import PatternBudget
 
@@ -25,7 +25,7 @@ def run_once(size):
     repo = generate_chemical_repository(size, seed=7)
     budget = PatternBudget(6, min_size=4, max_size=8)
     start = time.perf_counter()
-    result = select_canned_patterns(repo, budget, CatapultConfig(seed=1))
+    result = run_catapult(repo, PipelineConfig(budget=budget, seed=1))
     total = time.perf_counter() - start
     return total, result.timings
 
@@ -65,7 +65,6 @@ def test_e2_single_point_benchmark(benchmark):
     repo = generate_chemical_repository(100, seed=7)
     budget = PatternBudget(6, min_size=4, max_size=8)
     result = benchmark.pedantic(
-        lambda: select_canned_patterns(repo, budget,
-                                       CatapultConfig(seed=1)),
+        lambda: run_catapult(repo, PipelineConfig(budget=budget, seed=1)),
         rounds=2, iterations=1)
     assert len(result.patterns) > 0

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.catapult import CatapultConfig, select_canned_patterns
+from repro.core import PipelineConfig, run_catapult
 from repro.patterns import PatternBudget, default_basic_patterns
 from repro.usability import StudyCondition, run_study
 
@@ -19,8 +19,8 @@ from conftest import print_table
 
 def test_e3_steps_time_errors(benchmark, chem_repo, chem_workload):
     budget = PatternBudget(8, min_size=4, max_size=8)
-    selection = select_canned_patterns(chem_repo, budget,
-                                       CatapultConfig(seed=1))
+    selection = run_catapult(chem_repo,
+                             PipelineConfig(budget=budget, seed=1))
     canned = list(selection.patterns)
 
     conditions = [
@@ -64,8 +64,8 @@ def test_e3_preference_measures(benchmark, chem_repo, chem_workload):
     from repro.usability.preference import CRITERIA
 
     budget = PatternBudget(8, min_size=4, max_size=8)
-    selection = select_canned_patterns(chem_repo, budget,
-                                       CatapultConfig(seed=1))
+    selection = run_catapult(chem_repo,
+                             PipelineConfig(budget=budget, seed=1))
     panel = default_basic_patterns() + list(selection.patterns)
 
     def scenario():
@@ -99,8 +99,8 @@ def test_e3_learning_curve(benchmark, chem_repo, chem_workload):
     from repro.usability import simulate_learning
 
     budget = PatternBudget(8, min_size=4, max_size=8)
-    selection = select_canned_patterns(chem_repo, budget,
-                                       CatapultConfig(seed=1))
+    selection = run_catapult(chem_repo,
+                             PipelineConfig(budget=budget, seed=1))
     panel = default_basic_patterns() + list(selection.patterns)
 
     curve = benchmark.pedantic(
@@ -128,8 +128,8 @@ def test_e3_panel_size_tradeoff(benchmark, chem_repo, chem_workload):
         out = {}
         for k in (2, 8, 16):
             budget = PatternBudget(k, min_size=4, max_size=8)
-            selection = select_canned_patterns(
-                chem_repo, budget, CatapultConfig(seed=1))
+            selection = run_catapult(
+                chem_repo, PipelineConfig(budget=budget, seed=1))
             panel = default_basic_patterns() + list(selection.patterns)
             study = run_study(chem_workload,
                               [StudyCondition(f"b={k}", panel)], seed=3)

@@ -17,9 +17,9 @@ import time
 
 import pytest
 
+from repro.core import PipelineConfig, run_tattoo
 from repro.datasets import NetworkConfig, generate_network
 from repro.patterns import PatternBudget
-from repro.tattoo import TattooConfig, select_network_patterns
 
 from conftest import print_table
 
@@ -63,8 +63,8 @@ def test_e4_scaling_curve(benchmark):
                               petals=size // 80, flowers=size // 100),
                 seed=13)
             start = time.perf_counter()
-            result = select_network_patterns(network, budget,
-                                             TattooConfig(seed=1))
+            result = run_tattoo(network,
+                                PipelineConfig(budget=budget, seed=1))
             elapsed = time.perf_counter() - start
             out[size] = (network, result, elapsed)
         return out
@@ -103,8 +103,8 @@ def test_e4_coverage_vs_budget(benchmark, medium_network):
         out = {}
         for k in (2, 4, 8, 12):
             budget = PatternBudget(k, min_size=4, max_size=8)
-            result = select_network_patterns(medium_network, budget,
-                                             TattooConfig(seed=1))
+            result = run_tattoo(medium_network,
+                                PipelineConfig(budget=budget, seed=1))
             out[k] = result
         return out
 

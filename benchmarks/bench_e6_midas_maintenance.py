@@ -13,13 +13,13 @@ import time
 
 import pytest
 
-from repro.catapult import CatapultConfig, select_canned_patterns
+from repro.core import PipelineConfig, run_catapult
 from repro.datasets import (
     EvolvingRepository,
     generate_chemical_repository,
     generate_update_stream,
 )
-from repro.midas import Midas, MidasConfig, multi_scan_swap
+from repro.midas import Midas, multi_scan_swap
 from repro.patterns import PatternBudget
 
 from conftest import print_table
@@ -28,11 +28,11 @@ BATCHES = 5
 BATCH_SIZE = 15
 
 
-def drive(midas_config, seed=31, initial=100):
+def drive(midas_seed, seed=31, initial=100):
     """Run one maintenance session; returns reports + rerun times."""
     repo = generate_chemical_repository(initial, seed=seed)
     budget = PatternBudget(6, min_size=4, max_size=8)
-    midas = Midas(repo, budget, midas_config)
+    midas = Midas(repo, PipelineConfig(budget=budget, seed=midas_seed))
     evolving = EvolvingRepository([g.copy() for g in repo])
     stream = generate_update_stream(
         evolving, batches=BATCHES, batch_size=BATCH_SIZE, seed=seed + 1,
@@ -43,15 +43,15 @@ def drive(midas_config, seed=31, initial=100):
         evolving.apply(batch)
         reports.append(midas.apply_batch(batch))
         start = time.perf_counter()
-        select_canned_patterns(evolving.graphs(), budget,
-                               CatapultConfig(seed=2))
+        run_catapult(evolving.graphs(),
+                     PipelineConfig(budget=budget, seed=2))
         rerun_times.append(time.perf_counter() - start)
     return reports, rerun_times
 
 
 def test_e6_maintenance_vs_rerun(benchmark):
     reports, rerun_times = benchmark.pedantic(
-        lambda: drive(MidasConfig(seed=2)), rounds=1, iterations=1)
+        lambda: drive(2), rounds=1, iterations=1)
     rows = []
     for report, rerun in zip(reports, rerun_times):
         rows.append((report.batch_index, report.kind,
@@ -78,13 +78,12 @@ def test_e6_maintenance_vs_rerun(benchmark):
 def test_e6_swapping_ablation(benchmark, chem_repo):
     """Multi-scan vs single-scan, pruning on vs off."""
     from repro.patterns import CoverageIndex, Pattern, SetScorer
-    from repro.catapult import CatapultConfig, select_canned_patterns
 
     budget = PatternBudget(6, min_size=4, max_size=8)
-    base = select_canned_patterns(chem_repo[:60], budget,
-                                  CatapultConfig(seed=3))
-    fresh = select_canned_patterns(chem_repo[60:], budget,
-                                   CatapultConfig(seed=4))
+    base = run_catapult(chem_repo[:60],
+                        PipelineConfig(budget=budget, seed=3))
+    fresh = run_catapult(chem_repo[60:],
+                         PipelineConfig(budget=budget, seed=4))
     current = list(base.patterns)
     candidates = fresh.candidates
     scorer = SetScorer(CoverageIndex(chem_repo[60:],

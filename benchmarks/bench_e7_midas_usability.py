@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import PipelineConfig
 from repro.datasets import (
     EvolvingRepository,
     generate_chemical_repository,
     generate_update_stream,
     generate_workload,
 )
-from repro.midas import Midas, MidasConfig
+from repro.midas import Midas
 from repro.patterns import PatternBudget, default_basic_patterns
 from repro.usability import StudyCondition, run_study
 
@@ -29,8 +30,8 @@ def test_e7_stale_vs_maintained(benchmark):
         repo = generate_chemical_repository(
             80, seed=41, motif_weights=[0.1, 0.1, 0.3, 5.0])
         budget = PatternBudget(6, min_size=4, max_size=8)
-        midas = Midas(repo, budget,
-                      MidasConfig(seed=3, drift_threshold=0.008))
+        midas = Midas(repo, PipelineConfig(
+            budget=budget, seed=3, options={"drift_threshold": 0.008}))
         stale_panel = list(midas.patterns)  # frozen at day 0
 
         # the stream drifts hard toward ring motifs and churns out the

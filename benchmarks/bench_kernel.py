@@ -44,9 +44,9 @@ from repro.graph.operations import induced_subgraph, sample_connected_node_set
 from repro.matching.isomorphism import (
     WILDCARD,
     SubgraphMatcher,
-    kernel_stats,
     reset_kernel_stats,
 )
+from repro.obs import matching_snapshot
 from repro.truss import truss_decomposition, truss_decomposition_rescan
 
 KERNELS = ("legacy", "indexed")
@@ -139,7 +139,7 @@ def run_matching(cases: List[MatchCase]) -> Dict[str, object]:
             start = time.perf_counter()
             count, digest = embedding_digest(matcher)
             wall = time.perf_counter() - start
-            counters = kernel_stats()
+            counters = matching_snapshot()
             digests[kernel] = digest
             row[kernel] = {key: counters[key] for key in COUNTER_KEYS}
             row[kernel]["wall_seconds"] = wall

@@ -8,7 +8,7 @@ manual VQI (edge-at-a-time) against the data-driven VQI.
 Run:  python examples/chemical_catalog_search.py
 """
 
-from repro.catapult import CatapultConfig, select_canned_patterns
+from repro.core import PipelineConfig, run_catapult
 from repro.datasets import generate_chemical_repository, generate_workload
 from repro.patterns import (
     PatternBudget,
@@ -26,8 +26,8 @@ def main() -> None:
     budget = PatternBudget(max_patterns=8, min_size=4, max_size=8)
 
     # --- selection ---------------------------------------------------
-    result = select_canned_patterns(repository, budget,
-                                    CatapultConfig(seed=1))
+    result = run_catapult(repository,
+                          PipelineConfig(budget=budget, seed=1))
     patterns = list(result.patterns)
     print("CATAPULT selection")
     print(f"  clusters: {len(result.summaries)}  "

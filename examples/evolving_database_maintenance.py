@@ -11,13 +11,13 @@ Run:  python examples/evolving_database_maintenance.py
 
 import time
 
-from repro.catapult import CatapultConfig, select_canned_patterns
+from repro.core import PipelineConfig, run_catapult
 from repro.datasets import (
     EvolvingRepository,
     generate_chemical_repository,
     generate_update_stream,
 )
-from repro.midas import Midas, MidasConfig
+from repro.midas import Midas
 from repro.patterns import PatternBudget
 
 
@@ -25,7 +25,7 @@ def main() -> None:
     repository = generate_chemical_repository(100, seed=21)
     budget = PatternBudget(max_patterns=6, min_size=4, max_size=8)
 
-    midas = Midas(repository, budget, MidasConfig(seed=2))
+    midas = Midas(repository, PipelineConfig(budget=budget, seed=2))
     print(f"initial selection: {len(midas.patterns)} canned patterns, "
           f"score {midas.last_score:.3f}")
 
@@ -44,8 +44,8 @@ def main() -> None:
 
         # what a from-scratch re-selection would have cost instead
         start = time.perf_counter()
-        select_canned_patterns(evolving.graphs(), budget,
-                               CatapultConfig(seed=2))
+        run_catapult(evolving.graphs(),
+                     PipelineConfig(budget=budget, seed=2))
         rerun = time.perf_counter() - start
         total_rerun += rerun
 

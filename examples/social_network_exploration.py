@@ -8,10 +8,9 @@ bottom-up from a representative pattern rather than guessed top-down.
 Run:  python examples/social_network_exploration.py
 """
 
-from repro.core import PatternBudget, build_vqi_with_report
+from repro.core import PatternBudget, PipelineConfig, build_vqi_with_report
 from repro.datasets import NetworkConfig, generate_network
 from repro.patterns import classify_topology
-from repro.tattoo import TattooConfig
 from repro.truss import truss_statistics
 
 
@@ -26,7 +25,7 @@ def main() -> None:
 
     budget = PatternBudget(max_patterns=8, min_size=4, max_size=9)
     vqi, report = build_vqi_with_report(
-        network, budget, tattoo_config=TattooConfig(seed=3),
+        network, budget, PipelineConfig(seed=3),
         source_name="collab-net")
     print(f"\nbuilt with {report.generator} in {report.duration:.1f}s")
     for stage, seconds in report.details.items():

@@ -6,7 +6,6 @@ from repro.catapult.pipeline import (
     cluster_repository,
     default_cluster_count,
     generate_all_candidates,
-    select_canned_patterns,
     summarize_clusters,
 )
 from repro.catapult.random_walk import generate_candidates, walk_candidate
@@ -17,7 +16,6 @@ __all__ = [
     "cluster_repository",
     "default_cluster_count",
     "generate_all_candidates",
-    "select_canned_patterns",
     "summarize_clusters",
     "generate_candidates",
     "walk_candidate",

@@ -16,23 +16,22 @@ from __future__ import annotations
 import math
 import random
 import time
-import warnings
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.clustering.features import (
-    DEFAULT_TREE_EDGES,
     mine_frequent_trees,
     repository_feature_matrix,
 )
 from repro.clustering.kmedoids import ClusteringResult, kmedoids
 from repro.clustering.similarity import distance_matrix_from_vectors
+from repro.config import RunConfig
 from repro.errors import PipelineError
 from repro.graph.graph import Graph
 from repro.graph.operations import induced_subgraph, sample_connected_node_set
 from repro.obs import capture, span
 from repro.patterns.base import Pattern, PatternBudget, PatternSet
 from repro.patterns.index import CoverageIndex
-from repro.patterns.scoring import DEFAULT_WEIGHTS, ScoreWeights
 from repro.patterns.selection import SelectionResult, SetScorer, greedy_select
 from repro.perf.cache import cached_is_subgraph, get_match_cache
 from repro.perf.executor import ItemFailure, derive_seed, \
@@ -42,73 +41,34 @@ from repro.summary.closure import SummaryGraph, build_summary
 from repro.catapult.random_walk import generate_candidates
 
 
-class CatapultConfig:
+#: Connected subgraphs sampled from each cluster's members as extra
+#: candidates, beside the CSG walks.
+MEMBER_SAMPLES = 20
+
+#: Repository graphs (sampled past this size) the selection's coverage
+#: index scores against.
+COVERAGE_SAMPLE = 60
+
+
+@dataclass(frozen=True)
+class CatapultConfig(RunConfig):
     """Tunables of the CATAPULT pipeline.
 
+    The shared run fields come from :class:`repro.config.RunConfig`.
     ``workers`` fans the per-cluster candidate walks and the distance
-    matrix out over :func:`repro.perf.pmap` processes (``None`` reads
-    ``REPRO_WORKERS``; 1 = serial).  Each cluster draws its walks from
-    a seed split off ``seed`` with :func:`repro.perf.derive_seed`, so
-    the selected patterns are identical at every worker count.
-    ``use_cache`` toggles the shared VF2 match cache; ``trace``
-    captures a :mod:`repro.obs` trace for this run even when the
-    ``REPRO_TRACE`` environment switch is unset.  ``deadline_s``
-    bounds the run's wall clock (stages stop early and the result
-    degrades instead of raising); ``max_retries`` is the per-item
-    retry budget failing pmap work items get before being skipped.
+    matrix out over :func:`repro.perf.pmap` processes; each cluster
+    draws its walks from a seed split off ``seed`` with
+    :func:`repro.perf.derive_seed`, so the selected patterns are
+    identical at every worker count.  ``clusters`` fixes k (``None``
+    picks :func:`default_cluster_count`); ``min_tree_support`` is the
+    support threshold of the frequent-subtree features;
+    ``walks_per_cluster`` is the number of CSG random walks per
+    cluster.
     """
 
-    __slots__ = ("clusters", "min_tree_support", "max_tree_edges",
-                 "walks_per_cluster", "member_samples", "seed", "weights",
-                 "validate_candidates", "coverage_sample",
-                 "max_embeddings", "workers", "use_cache", "trace",
-                 "deadline_s", "max_retries")
-
-    def __init__(self, clusters: Optional[int] = None,
-                 min_tree_support: int = 2,
-                 max_tree_edges: int = DEFAULT_TREE_EDGES,
-                 walks_per_cluster: int = 60,
-                 member_samples: int = 20, seed: int = 0,
-                 weights: ScoreWeights = DEFAULT_WEIGHTS,
-                 validate_candidates: bool = True,
-                 coverage_sample: int = 60,
-                 max_embeddings: int = 30,
-                 workers: Optional[int] = None,
-                 use_cache: bool = True,
-                 trace: bool = False,
-                 deadline_s: Optional[float] = None,
-                 max_retries: int = 0) -> None:
-        self.clusters = clusters
-        self.min_tree_support = min_tree_support
-        self.max_tree_edges = max_tree_edges
-        self.walks_per_cluster = walks_per_cluster
-        self.member_samples = member_samples
-        self.seed = seed
-        self.weights = weights
-        self.validate_candidates = validate_candidates
-        self.coverage_sample = coverage_sample
-        self.max_embeddings = max_embeddings
-        self.workers = workers
-        self.use_cache = use_cache
-        self.trace = trace
-        self.deadline_s = deadline_s
-        self.max_retries = max_retries
-
-    @classmethod
-    def from_pipeline(cls, pipeline) -> "CatapultConfig":
-        """Translate a :class:`repro.core.pipeline.PipelineConfig`:
-        shared fields map 1:1 and CATAPULT-specific knobs come from
-        ``pipeline.options`` (unknown option names raise)."""
-        kwargs = dict(pipeline.options)
-        unknown = sorted(set(kwargs) - set(cls.__slots__))
-        if unknown:
-            raise PipelineError(
-                "unknown CATAPULT option(s): " + ", ".join(unknown))
-        for name in ("seed", "workers", "use_cache", "weights",
-                     "max_embeddings", "trace", "deadline_s",
-                     "max_retries"):
-            kwargs.setdefault(name, getattr(pipeline, name))
-        return cls(**kwargs)
+    clusters: Optional[int] = None
+    min_tree_support: int = 2
+    walks_per_cluster: int = 60
 
 
 class CatapultResult:
@@ -196,8 +156,7 @@ def cluster_repository(repository: Sequence[Graph],
             return ClusteringResult(labels=[0] * len(repository),
                                     medoids=[0], cost=0.0)
         vocabulary = mine_frequent_trees(
-            repository, min_support=config.min_tree_support,
-            max_edges=config.max_tree_edges)
+            repository, min_support=config.min_tree_support)
         k = config.clusters or default_cluster_count(len(repository))
         stage.add("vocabulary", len(vocabulary))
         if not vocabulary:
@@ -206,8 +165,7 @@ def cluster_repository(repository: Sequence[Graph],
             report.record("cluster", 1, 1)
             return ClusteringResult(labels=[0] * len(repository),
                                     medoids=[0], cost=0.0)
-        matrix = repository_feature_matrix(repository, vocabulary,
-                                           config.max_tree_edges)
+        matrix = repository_feature_matrix(repository, vocabulary)
         distances = distance_matrix_from_vectors(
             matrix, metric="euclidean", workers=config.workers)
         stage.add("clusters", k)
@@ -266,17 +224,15 @@ def _cluster_candidates_task(task) -> List[Pattern]:
     """One cluster's candidates (module-level: runs in pool workers).
 
     ``task`` is ``(cluster_index, member_graphs, summary, budget,
-    walks, member_samples, validate, use_cache, seed)``; the
-    per-cluster RNG is built from the split seed, so the output
-    depends only on the task content, never on which worker ran it or
-    in what order.
+    walks, use_cache, seed)``; the per-cluster RNG is built from the
+    split seed, so the output depends only on the task content, never
+    on which worker ran it or in what order.
     """
-    (cluster_index, member_graphs, summary, budget, walks,
-     member_samples, validate, use_cache, seed) = task
+    (cluster_index, member_graphs, summary, budget, walks, use_cache,
+     seed) = task
     with span("catapult.cluster_walks", cluster=cluster_index) as walk:
         rng = random.Random(seed)
-        validator = (_make_validator(member_graphs, use_cache=use_cache)
-                     if validate else None)
+        validator = _make_validator(member_graphs, use_cache=use_cache)
         out: List[Pattern] = []
         for pattern in generate_candidates(
                 summary, budget, walks, rng,
@@ -284,7 +240,7 @@ def _cluster_candidates_task(task) -> List[Pattern]:
                 validator=validator):
             pattern.code  # canonical coding happens in the worker
             out.append(pattern)
-        for _ in range(member_samples):
+        for _ in range(MEMBER_SAMPLES):
             member = rng.choice(member_graphs)
             if member.order() < budget.min_size:
                 continue
@@ -337,8 +293,7 @@ def generate_all_candidates(repository: Sequence[Graph],
                 zip(clusters, summaries)):
             member_graphs = [repository[i] for i in members]
             tasks.append((cluster_index, member_graphs, summary, budget,
-                          config.walks_per_cluster, config.member_samples,
-                          config.validate_candidates, config.use_cache,
+                          config.walks_per_cluster, config.use_cache,
                           derive_seed(config.seed, cluster_index)))
         policy = failure_policy(config.max_retries, config.deadline_s)
         cache_merge = get_match_cache() if config.use_cache else None
@@ -378,8 +333,7 @@ def generate_all_candidates(repository: Sequence[Graph],
 def _run_catapult(repository: Sequence[Graph],
                   budget: PatternBudget,
                   config: CatapultConfig) -> CatapultResult:
-    """The actual pipeline, shared by the new-style entry points and
-    the deprecated keyword signature."""
+    """The pipeline body behind :func:`repro.core.pipeline.run_catapult`."""
     if not repository:
         raise PipelineError("CATAPULT needs a non-empty repository")
     timings: Dict[str, float] = {}
@@ -408,8 +362,8 @@ def _run_catapult(repository: Sequence[Graph],
         with span("catapult.select", candidates=len(candidates)) as stage:
             rng = random.Random(config.seed)
             sample = list(repository)
-            if len(sample) > config.coverage_sample:
-                sample = rng.sample(sample, config.coverage_sample)
+            if len(sample) > COVERAGE_SAMPLE:
+                sample = rng.sample(sample, COVERAGE_SAMPLE)
             index = CoverageIndex(sample,
                                   max_embeddings=config.max_embeddings,
                                   size_utility=True,
@@ -432,34 +386,3 @@ def _run_catapult(repository: Sequence[Graph],
     return CatapultResult(selection.patterns, clustering, summaries,
                           candidates, selection, timings,
                           trace=run.record, completion=report)
-
-
-def select_canned_patterns(repository: Sequence[Graph],
-                           budget=None,
-                           config: Optional[CatapultConfig] = None
-                           ) -> CatapultResult:
-    """Run the full CATAPULT pipeline on a repository.
-
-    New-style calls pass a single :class:`repro.core.pipeline.
-    PipelineConfig` in place of ``budget`` (or use :func:`repro.core.
-    pipeline.run_catapult`).  The legacy ``(repository, budget,
-    CatapultConfig)`` signature still works but emits a
-    ``DeprecationWarning``.
-    """
-    from repro.core.pipeline import PipelineConfig
-
-    if isinstance(budget, PipelineConfig):
-        if config is not None:
-            raise PipelineError(
-                "pass CATAPULT options inside PipelineConfig.options, "
-                "not as a separate CatapultConfig")
-        return _run_catapult(repository, budget.require_budget(),
-                             CatapultConfig.from_pipeline(budget))
-    warnings.warn(
-        "select_canned_patterns(repository, budget, CatapultConfig) is "
-        "deprecated; pass a repro.core.pipeline.PipelineConfig instead "
-        "(or call repro.core.pipeline.run_catapult)",
-        DeprecationWarning, stacklevel=2)
-    if budget is None:
-        raise PipelineError("CATAPULT needs a PatternBudget")
-    return _run_catapult(repository, budget, config or CatapultConfig())

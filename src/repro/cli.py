@@ -50,34 +50,23 @@ def _budget_from_args(args: argparse.Namespace):
                          max_size=args.max_size)
 
 
-def _pipeline_configs(args: argparse.Namespace):
-    """CATAPULT/TATTOO configs from the shared pipeline flags.
+def _pipeline_config(args: argparse.Namespace):
+    """The one :class:`repro.core.pipeline.PipelineConfig` every
+    pipeline-running subcommand uses.
 
     The shared parent parser guarantees ``--workers``, ``--deadline``,
     ``--max-retries``, ``--trace``, and ``--seed`` exist and mean the
-    same thing on every pipeline-running subcommand.  ``--deadline``
-    turns the selection pipelines into anytime runs (best-so-far
-    patterns at expiry); ``--max-retries`` enables fault-tolerant
-    parallel execution.  With every flag at its default the library
-    defaults apply and ``(None, None)`` is returned.
+    same thing on every such subcommand.  ``--deadline`` turns the
+    selection pipelines into anytime runs (best-so-far patterns at
+    expiry); ``--max-retries`` enables fault-tolerant parallel
+    execution.
     """
-    deadline = args.deadline
-    retries = args.max_retries
-    workers = args.workers
-    seed = args.seed
-    trace = bool(args.trace)
-    if deadline is None and not retries and not trace \
-            and workers is None and not seed:
-        return None, None
-    from repro.catapult.pipeline import CatapultConfig
-    from repro.tattoo.pipeline import TattooConfig
-    catapult_config = CatapultConfig(seed=seed, workers=workers,
-                                     trace=trace, deadline_s=deadline,
-                                     max_retries=retries)
-    tattoo_config = TattooConfig(seed=seed, workers=workers,
-                                 trace=trace, deadline_s=deadline,
-                                 max_retries=retries)
-    return catapult_config, tattoo_config
+    from repro.core.pipeline import PipelineConfig
+    return PipelineConfig(budget=_budget_from_args(args),
+                          seed=args.seed, workers=args.workers,
+                          trace=bool(args.trace),
+                          deadline_s=args.deadline,
+                          max_retries=args.max_retries)
 
 
 def _build_vqi_reporting(args: argparse.Namespace, data):
@@ -85,10 +74,8 @@ def _build_vqi_reporting(args: argparse.Namespace, data):
     subcommand, so degraded warnings and ``--trace`` output behave
     identically across ``build``/``query``/``summarize``/``report``."""
     from repro.vqi.builder import build_vqi_with_report
-    catapult_config, tattoo_config = _pipeline_configs(args)
-    vqi, report = build_vqi_with_report(data, _budget_from_args(args),
-                                        catapult_config=catapult_config,
-                                        tattoo_config=tattoo_config)
+    config = _pipeline_config(args)
+    vqi, report = build_vqi_with_report(data, config.budget, config)
     if report.degraded:
         incomplete = sorted(
             stage for stage, entry in report.completion.items()
@@ -231,18 +218,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.core.pipeline import PipelineConfig
     from repro.service import PatternService, ServiceConfig, serve
     from repro.store import DiskBackend
     data = _load_data(args.data)
-    pipeline = PipelineConfig(budget=_budget_from_args(args),
-                              seed=args.seed, workers=args.workers,
-                              trace=bool(args.trace),
-                              deadline_s=args.deadline,
-                              max_retries=args.max_retries)
     backend = DiskBackend(args.store) if args.store else None
     service = PatternService(
-        data, pipeline,
+        data, _pipeline_config(args),
         ServiceConfig(rate=args.rate, burst=args.burst,
                       max_inflight=args.max_inflight,
                       request_log=args.request_log),

@@ -15,11 +15,7 @@ Selection pipelines share one configuration surface —
 :mod:`repro.core.pipeline` for the unified runners.
 """
 
-from repro.catapult.pipeline import (
-    CatapultConfig,
-    CatapultResult,
-    select_canned_patterns,
-)
+from repro.catapult.pipeline import CatapultConfig, CatapultResult
 from repro.core.pipeline import (
     PipelineConfig,
     PipelineResult,
@@ -32,11 +28,7 @@ from repro.midas.maintenance import MaintenanceReport, Midas, MidasConfig
 from repro.modular.architecture import ModularPipeline, ModularResult
 from repro.patterns.base import Pattern, PatternBudget, PatternSet
 from repro.patterns.scoring import ScoreWeights, pattern_set_score
-from repro.tattoo.pipeline import (
-    TattooConfig,
-    TattooResult,
-    select_network_patterns,
-)
+from repro.tattoo.pipeline import TattooConfig, TattooResult
 from repro.vqi.builder import (
     VisualQueryInterface,
     build_vqi,
@@ -48,7 +40,6 @@ from repro.vqi.spec import VQISpec
 __all__ = [
     "CatapultConfig",
     "CatapultResult",
-    "select_canned_patterns",
     "PipelineConfig",
     "PipelineResult",
     "run_catapult",
@@ -67,7 +58,6 @@ __all__ = [
     "pattern_set_score",
     "TattooConfig",
     "TattooResult",
-    "select_network_patterns",
     "VisualQueryInterface",
     "build_vqi",
     "build_vqi_with_report",

@@ -16,10 +16,6 @@ satisfies (``.patterns`` / ``.stats`` / ``.trace``), and runners::
     result = run_selection(data, config)   # CATAPULT or TATTOO
     print(result.stats["timings"])         # stage wall times
     print(result.trace)                    # hierarchical span record
-
-The legacy keyword signatures (``select_canned_patterns(repo, budget,
-CatapultConfig(...))`` and friends) still work as deprecation shims
-that forward here; new code passes a :class:`PipelineConfig`.
 """
 
 from __future__ import annotations
@@ -30,52 +26,33 @@ from typing import Dict, Mapping, Optional, Protocol, Sequence, Union, \
 
 from repro.catapult.pipeline import CatapultConfig, CatapultResult, \
     _run_catapult
+from repro.config import RunConfig, stage_config
 from repro.errors import PipelineError
 from repro.graph.graph import Graph
 from repro.midas.maintenance import Midas, MidasConfig
 from repro.patterns.base import PatternBudget, PatternSet
-from repro.patterns.scoring import DEFAULT_WEIGHTS, ScoreWeights
 from repro.tattoo.pipeline import TattooConfig, TattooResult, _run_tattoo
-
-#: The config fields every selection pipeline shares; per-pipeline
-#: config classes map these 1:1 in ``from_pipeline``.
-SHARED_PIPELINE_FIELDS = ("seed", "workers", "use_cache", "weights",
-                          "max_embeddings", "trace", "deadline_s",
-                          "max_retries")
 
 
 @dataclass(frozen=True)
-class PipelineConfig:
-    """The shared tunables of every selection pipeline.
+class PipelineConfig(RunConfig):
+    """The tunables of one selection run, for any pipeline.
 
-    ``budget`` is the display budget the selection fills; ``seed``
-    roots all randomness; ``workers`` fans hot stages over
-    :func:`repro.perf.pmap` (``None`` reads ``REPRO_WORKERS``);
-    ``use_cache`` toggles the shared VF2 match cache; ``trace``
-    captures a hierarchical :mod:`repro.obs` trace for the run even
-    when ``REPRO_TRACE`` is unset.  Pipeline-specific knobs (for
-    example CATAPULT's ``walks_per_cluster`` or TATTOO's
-    ``truss_threshold``) ride in ``options`` and are validated
-    against the chosen pipeline's config class.
+    The shared run fields (seed, workers, caching, tracing, weights,
+    embedding cap, deadline, retries) come from
+    :class:`repro.config.RunConfig`.  ``budget`` is the display budget
+    the selection fills.  Pipeline-specific knobs (for example
+    CATAPULT's ``walks_per_cluster`` or TATTOO's ``truss_threshold``)
+    ride in ``options`` and are validated against the chosen
+    pipeline's stage config by :func:`repro.config.stage_config`.
 
-    ``deadline_s`` puts the whole run under a wall-clock budget
-    (:class:`repro.resilience.Deadline`): stages stop at loop
-    boundaries once it expires and the pipeline returns its
-    best-so-far pattern set with ``result.degraded = True`` and a
-    per-stage completion report — it never raises.  ``max_retries``
-    is the per-item retry count failing :func:`repro.perf.pmap` work
-    items get before being skipped and recorded.
+    Under ``deadline_s`` (:class:`repro.resilience.Deadline`) the
+    pipeline returns its best-so-far pattern set with
+    ``result.degraded = True`` and a per-stage completion report — it
+    never raises.
     """
 
     budget: Optional[PatternBudget] = None
-    seed: int = 0
-    workers: Optional[int] = None
-    use_cache: bool = True
-    trace: bool = False
-    weights: ScoreWeights = DEFAULT_WEIGHTS
-    max_embeddings: int = 30
-    deadline_s: Optional[float] = None
-    max_retries: int = 0
     options: Mapping[str, object] = field(default_factory=dict)
 
     def with_options(self, **options: object) -> "PipelineConfig":
@@ -125,7 +102,7 @@ def run_catapult(repository: Sequence[Graph],
     """CATAPULT canned-pattern selection over a repository."""
     config = config or PipelineConfig()
     return _run_catapult(repository, config.require_budget(),
-                         CatapultConfig.from_pipeline(config))
+                         stage_config(CatapultConfig, config))
 
 
 def run_tattoo(network: Graph,
@@ -133,15 +110,13 @@ def run_tattoo(network: Graph,
     """TATTOO canned-pattern selection on a single large network."""
     config = config or PipelineConfig()
     return _run_tattoo(network, config.require_budget(),
-                       TattooConfig.from_pipeline(config))
+                       stage_config(TattooConfig, config))
 
 
 def run_midas(repository: Sequence[Graph],
               config: Optional[PipelineConfig] = None) -> Midas:
     """A MIDAS maintenance engine initialised over ``repository``."""
-    config = config or PipelineConfig()
-    config.require_budget()
-    return Midas(repository, config)
+    return Midas(repository, config or PipelineConfig())
 
 
 def run_selection(data: Union[Graph, Sequence[Graph]],
@@ -158,7 +133,6 @@ def run_selection(data: Union[Graph, Sequence[Graph]],
 __all__ = [
     "PipelineConfig",
     "PipelineResult",
-    "SHARED_PIPELINE_FIELDS",
     "run_catapult",
     "run_midas",
     "run_selection",

@@ -3,7 +3,6 @@
 from repro.matching.canonical import (
     canonical_code,
     canonical_form,
-    canonical_memo_stats,
     reset_canonical_memo_stats,
 )
 from repro.matching.edit_distance import (
@@ -19,7 +18,6 @@ from repro.matching.isomorphism import (
     covered_edges,
     find_embedding,
     is_subgraph,
-    kernel_stats,
     labels_compatible,
     reset_kernel_stats,
     subgraph_embeddings,
@@ -31,7 +29,6 @@ __all__ = [
     "are_isomorphic",
     "canonical_code",
     "canonical_form",
-    "canonical_memo_stats",
     "reset_canonical_memo_stats",
     "MAX_EXACT_NODES",
     "ged_similarity",
@@ -40,7 +37,6 @@ __all__ = [
     "covered_edges",
     "find_embedding",
     "is_subgraph",
-    "kernel_stats",
     "labels_compatible",
     "reset_kernel_stats",
     "subgraph_embeddings",

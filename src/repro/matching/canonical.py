@@ -15,7 +15,6 @@ here (<= ~15 nodes).
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, List, Tuple
 from weakref import WeakKeyDictionary
 
@@ -36,17 +35,6 @@ def _memo_snapshot() -> Dict[str, int]:
     """Hit/miss counters of the per-object memo (internal; the
     documented surface is :func:`repro.obs.snapshot`)."""
     return dict(_memo_counters)
-
-
-def canonical_memo_stats() -> Dict[str, int]:
-    """Deprecated alias of the memo-counter slice of
-    :func:`repro.obs.snapshot`; use that instead."""
-    warnings.warn(
-        "repro.matching.canonical_memo_stats() is deprecated; read "
-        "canonical_memo_hits/misses from "
-        "repro.obs.snapshot()['matching']",
-        DeprecationWarning, stacklevel=2)
-    return _memo_snapshot()
 
 
 def reset_canonical_memo_stats() -> None:

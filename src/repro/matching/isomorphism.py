@@ -40,15 +40,14 @@ are therefore identical across kernels even when the cap binds —
 The default kernel can be overridden process-wide through the
 ``REPRO_KERNEL`` environment variable (the bench harness drives its
 legacy-oracle runs with it).  Kernel work is instrumented:
-:func:`kernel_stats` exposes ``feasibility_checks``,
-``recursive_calls``, and ``candidates_pruned`` counters (also merged
-into :func:`repro.perf.cache_stats`).
+``feasibility_checks``, ``recursive_calls``, and
+``candidates_pruned`` counters surface under ``"matching"`` in
+:func:`repro.obs.snapshot`.
 """
 
 from __future__ import annotations
 
 import os
-import warnings
 from bisect import bisect_left
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
@@ -86,16 +85,6 @@ def _kernel_snapshot() -> Dict[str, int]:
     """Snapshot of the matching-kernel counters (internal; the
     documented surface is :func:`repro.obs.snapshot`)."""
     return dict(_kernel_counters)
-
-
-def kernel_stats() -> Dict[str, int]:
-    """Deprecated alias of the kernel-counter slice of
-    :func:`repro.obs.snapshot`; use that instead."""
-    warnings.warn(
-        "repro.matching.kernel_stats() is deprecated; read the "
-        "kernel counters from repro.obs.snapshot()['matching']",
-        DeprecationWarning, stacklevel=2)
-    return _kernel_snapshot()
 
 
 def reset_kernel_stats() -> None:

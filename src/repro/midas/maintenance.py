@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import random
 import time
-import warnings
-from typing import Dict, List, Optional, Sequence, Set
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set
 
 from repro.catapult.random_walk import generate_candidates
 from repro.clustering.features import feature_vector_from_vocabulary
@@ -29,6 +29,7 @@ from repro.clustering.similarity import (
     distance_matrix_from_vectors,
     vector_euclidean,
 )
+from repro.config import RunConfig, stage_config
 from repro.datasets.evolving import UpdateBatch
 from repro.errors import MaintenanceError, PipelineError, WorkerFailure
 from repro.graph.graph import Graph
@@ -36,19 +37,31 @@ from repro.graphlets.counting import GRAPHLET_KEYS, count_graphlets, gfd_distanc
 from repro.midas.fct import FCTIndex
 from repro.midas.swapping import SwapStats, multi_scan_swap
 from repro.obs import capture, metrics, span
-from repro.patterns.base import Pattern, PatternBudget, PatternSet
+from repro.patterns.base import Pattern, PatternSet
 from repro.patterns.index import CoverageIndex
-from repro.patterns.scoring import DEFAULT_WEIGHTS, ScoreWeights
 from repro.patterns.selection import SetScorer, greedy_select
 from repro.perf.cache import MatchCache, cached_is_subgraph
 from repro.resilience.deadline import CompletionReport, Deadline
 from repro.summary.closure import SummaryGraph, build_summary
 from repro.catapult.pipeline import default_cluster_count
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.pipeline import PipelineConfig
 
-class MidasConfig:
+
+#: CSG random walks per modified cluster when candidates are drawn.
+WALKS_PER_CLUSTER = 40
+
+#: Repository graphs (sampled past this size) each batch's coverage
+#: index scores against.
+COVERAGE_SAMPLE = 50
+
+
+@dataclass(frozen=True)
+class MidasConfig(RunConfig):
     """Tunables of the MIDAS maintenance engine.
 
+    The shared run fields come from :class:`repro.config.RunConfig`.
     ``workers`` parallelises the clustering distance matrix;
     ``use_cache`` keeps one :class:`repro.perf.MatchCache` alive for
     the lifetime of the engine, so coverage answers survive across
@@ -58,60 +71,13 @@ class MidasConfig:
     pool: workers are seeded with its hottest entries and their
     access deltas merge back in input order, so the engine cache
     stays the single source of truth at every worker count.
-    ``trace`` captures a :mod:`repro.obs` trace of initialisation and
-    every batch even when ``REPRO_TRACE`` is unset.
+    ``drift_threshold`` separates minor from major batches;
+    ``max_scans`` and ``prune`` drive multi-scan swapping.
     """
 
-    __slots__ = ("drift_threshold", "min_tree_support", "max_tree_edges",
-                 "walks_per_cluster", "coverage_sample", "max_embeddings",
-                 "max_scans", "prune", "seed", "weights", "clusters",
-                 "workers", "use_cache", "trace", "deadline_s",
-                 "max_retries")
-
-    def __init__(self, drift_threshold: float = 0.015,
-                 min_tree_support: int = 2, max_tree_edges: int = 3,
-                 walks_per_cluster: int = 40, coverage_sample: int = 50,
-                 max_embeddings: int = 30, max_scans: int = 3,
-                 prune: bool = True, seed: int = 0,
-                 weights: ScoreWeights = DEFAULT_WEIGHTS,
-                 clusters: Optional[int] = None,
-                 workers: Optional[int] = None,
-                 use_cache: bool = True,
-                 trace: bool = False,
-                 deadline_s: Optional[float] = None,
-                 max_retries: int = 0) -> None:
-        self.drift_threshold = drift_threshold
-        self.min_tree_support = min_tree_support
-        self.max_tree_edges = max_tree_edges
-        self.walks_per_cluster = walks_per_cluster
-        self.coverage_sample = coverage_sample
-        self.max_embeddings = max_embeddings
-        self.max_scans = max_scans
-        self.prune = prune
-        self.seed = seed
-        self.weights = weights
-        self.clusters = clusters
-        self.workers = workers
-        self.use_cache = use_cache
-        self.trace = trace
-        self.deadline_s = deadline_s
-        self.max_retries = max_retries
-
-    @classmethod
-    def from_pipeline(cls, pipeline) -> "MidasConfig":
-        """Translate a :class:`repro.core.pipeline.PipelineConfig`:
-        shared fields map 1:1 and MIDAS-specific knobs come from
-        ``pipeline.options`` (unknown option names raise)."""
-        kwargs = dict(pipeline.options)
-        unknown = sorted(set(kwargs) - set(cls.__slots__))
-        if unknown:
-            raise PipelineError(
-                "unknown MIDAS option(s): " + ", ".join(unknown))
-        for name in ("seed", "workers", "use_cache", "weights",
-                     "max_embeddings", "trace", "deadline_s",
-                     "max_retries"):
-            kwargs.setdefault(name, getattr(pipeline, name))
-        return cls(**kwargs)
+    drift_threshold: float = 0.015
+    max_scans: int = 3
+    prune: bool = True
 
 
 class QuarantinedOp:
@@ -214,51 +180,19 @@ class MaintenanceReport:
 class Midas:
     """Stateful pattern-set maintainer for an evolving repository.
 
-    New-style construction passes a single :class:`repro.core.
-    pipeline.PipelineConfig` as the second argument (or uses
-    :func:`repro.core.pipeline.run_midas`); the legacy
-    ``Midas(repository, budget, MidasConfig)`` signature still works
-    but emits a ``DeprecationWarning``.  Satisfies the
-    :class:`repro.core.pipeline.PipelineResult` protocol
+    Built from a :class:`repro.core.pipeline.PipelineConfig` (also via
+    :func:`repro.core.pipeline.run_midas`): its budget is the display
+    budget and its ``options`` set the :class:`MidasConfig` knobs.
+    Satisfies the :class:`repro.core.pipeline.PipelineResult` protocol
     (``.patterns`` / ``.stats`` / ``.trace``).
     """
 
-    def __init__(self, repository: Sequence[Graph], budget=None,
-                 config: Optional[MidasConfig] = None) -> None:
-        from repro.core.pipeline import PipelineConfig
-
-        if isinstance(budget, PipelineConfig):
-            if config is not None:
-                raise PipelineError(
-                    "pass MIDAS options inside PipelineConfig.options, "
-                    "not as a separate MidasConfig")
-            self._setup(repository, budget.require_budget(),
-                        MidasConfig.from_pipeline(budget))
-            return
-        warnings.warn(
-            "Midas(repository, budget, MidasConfig) is deprecated; "
-            "pass a repro.core.pipeline.PipelineConfig instead (or "
-            "call repro.core.pipeline.run_midas)",
-            DeprecationWarning, stacklevel=2)
-        if budget is None:
-            raise PipelineError("MIDAS needs a PatternBudget")
-        self._setup(repository, budget, config or MidasConfig())
-
-    @classmethod
-    def _from_parts(cls, repository: Sequence[Graph],
-                    budget: PatternBudget,
-                    config: Optional[MidasConfig] = None) -> "Midas":
-        """Internal non-warning constructor for in-library callers."""
-        self = cls.__new__(cls)
-        self._setup(repository, budget, config or MidasConfig())
-        return self
-
-    def _setup(self, repository: Sequence[Graph], budget: PatternBudget,
-               config: MidasConfig) -> None:
+    def __init__(self, repository: Sequence[Graph],
+                 config: PipelineConfig) -> None:
+        self.budget = config.require_budget()
+        self.config = stage_config(MidasConfig, config)
         if not repository:
             raise PipelineError("MIDAS needs a non-empty repository")
-        self.config = config
-        self.budget = budget
         self._graphs: Dict[str, Graph] = {}
         for graph in repository:
             if not graph.name:
@@ -274,8 +208,7 @@ class Midas:
         self._match_cache: Optional[MatchCache] = \
             MatchCache() if self.config.use_cache else None
         # incrementally maintained state
-        self.fct = FCTIndex(min_support=self.config.min_tree_support,
-                            max_edges=self.config.max_tree_edges)
+        self.fct = FCTIndex()
         self._graphlet_counts: Dict[str, Dict[str, int]] = {}
         self._pooled_graphlets: Dict[str, int] = {
             key: 0 for key in GRAPHLET_KEYS}
@@ -309,8 +242,7 @@ class Midas:
                 for key, value in self._pooled_graphlets.items()}
 
     def _feature_of(self, graph: Graph) -> List[float]:
-        return feature_vector_from_vocabulary(
-            graph, self._vocabulary, self.config.max_tree_edges)
+        return feature_vector_from_vocabulary(graph, self._vocabulary)
 
     def _initialize(self) -> None:
         deadline = Deadline.start(self.config.deadline_s)
@@ -327,8 +259,7 @@ class Midas:
                 stage.add("vocabulary", len(self._vocabulary))
                 report.record("fct", 1, 1)
             with span("midas.cluster") as stage:
-                k = self.config.clusters \
-                    or default_cluster_count(len(graphs))
+                k = default_cluster_count(len(graphs))
                 if deadline.check("midas.cluster"):
                     # degrade to a single cluster rather than spend
                     # an exhausted budget on the distance matrix
@@ -475,7 +406,7 @@ class Midas:
                     return False
 
             for pattern in generate_candidates(
-                    summary, self.budget, self.config.walks_per_cluster,
+                    summary, self.budget, WALKS_PER_CLUSTER,
                     self._rng, source=f"midas:cluster{cluster}",
                     validator=validator):
                 if pattern.code not in seen:
@@ -495,8 +426,8 @@ class Midas:
     def _make_scorer(self) -> SetScorer:
         graphs = self.graphs()
         sample = graphs
-        if len(sample) > self.config.coverage_sample:
-            sample = self._rng.sample(graphs, self.config.coverage_sample)
+        if len(sample) > COVERAGE_SAMPLE:
+            sample = self._rng.sample(graphs, COVERAGE_SAMPLE)
         index = CoverageIndex(sample,
                               max_embeddings=self.config.max_embeddings,
                               size_utility=True,
@@ -507,9 +438,9 @@ class Midas:
     def cache_stats(self) -> Optional[Dict[str, float]]:
         """Hit/miss counters of the engine's match cache (None if off).
 
-        Deprecated entry point: the same counters are published as
-        ``midas.cache.*`` gauges in :func:`repro.obs.snapshot` after
-        initialisation and after every batch.
+        The same counters are published as ``midas.cache.*`` gauges
+        in :func:`repro.obs.snapshot` after initialisation and after
+        every batch.
         """
         if self._match_cache is None:
             return None

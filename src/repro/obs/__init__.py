@@ -14,8 +14,8 @@ one place to ask *where time and work go* inside a run:
   back from :func:`repro.perf.pmap` workers, so a parallel run's
   trace is identical to the serial one up to wall-clock fields.
 * :func:`snapshot` / :func:`reset` — the process-local metrics
-  registry plus the live matching-stack counters, superseding the
-  scattered ``cache_stats``/``kernel_stats`` endpoints.
+  registry plus the live matching-stack counters: the one stats
+  endpoint of the library.
 * :func:`format_trace` / :func:`write_trace` — human-readable and
   JSON export (``repro-vqi build --trace out.json``).
 

@@ -4,10 +4,7 @@ One registry per process accumulates named metrics from every
 subsystem — pipeline stages, :func:`repro.perf.pmap` dispatch, the
 coverage index, swap scans — and :func:`snapshot` folds in the live
 matching-stack counters (match cache, VF2 kernel, canonical-code
-memo) so a single call observes the whole library.  This supersedes
-the four scattered stats endpoints (``repro.perf.cache_stats``,
-``repro.matching.kernel_stats``, ``CoverageIndex.cache_stats``,
-``Midas.cache_stats``); the old entry points survive as thin aliases.
+memo) so a single call observes the whole library.
 
 Metric names are dotted, lowercase, subsystem-first:
 ``perf.pmap.calls``, ``patterns.coverage.patterns_indexed``,
@@ -96,8 +93,7 @@ def observe(name: str, seconds: float) -> None:
 
 
 def matching_snapshot() -> Dict[str, float]:
-    """Live counters of the whole matching stack, in the flat shape
-    the deprecated ``repro.perf.cache_stats()`` has always returned:
+    """Live counters of the whole matching stack, in one flat dict:
     match-cache occupancy and hit/miss/eviction counts, real VF2
     invocations, kernel feasibility/recursion/pruning counters, the
     canonical-code memo's hits/misses, and — as ``pairs_pruned`` —

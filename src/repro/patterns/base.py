@@ -107,6 +107,17 @@ class PatternBudget:
         """True iff the graph's node count is within the size range."""
         return self.min_size <= graph.order() <= self.max_size
 
+    def _key(self) -> Tuple[int, int, int]:
+        return (self.max_patterns, self.min_size, self.max_size)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PatternBudget):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
     def __repr__(self) -> str:
         return (f"PatternBudget(max_patterns={self.max_patterns}, "
                 f"min_size={self.min_size}, max_size={self.max_size})")

@@ -380,10 +380,9 @@ class CoverageIndex:
     def cache_stats(self) -> Optional[Dict[str, float]]:
         """Stats of the backing match cache, or None when uncached.
 
-        Deprecated entry point: when the index is backed by the
-        process-global cache these counters also appear under
-        ``"matching"`` in :func:`repro.obs.snapshot`, which is the
-        one-stop view new code should prefer.
+        When the index is backed by the process-global cache these
+        counters also appear under ``"matching"`` in
+        :func:`repro.obs.snapshot`, the one-stop view of the process.
         """
         if self._cache is None:
             return None

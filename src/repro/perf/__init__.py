@@ -30,8 +30,8 @@ its result slot, so input order survives even when items do not.
 
 Observability moved to :mod:`repro.obs`: ``pmap`` reports dispatch
 counters to its metrics registry and ships per-item trace subtrees
-back from workers (see :func:`repro.obs.attach_record`), and
-:func:`cache_stats` survives only as a deprecated alias of
+back from workers (see :func:`repro.obs.attach_record`), and the
+match-cache counters are read through
 :func:`repro.obs.matching_snapshot`.
 
 Direct ``multiprocessing``/``concurrent.futures`` imports anywhere
@@ -41,7 +41,6 @@ else under ``src/repro`` are rejected by reprolint rule R007.
 from repro.perf.cache import (
     CacheDelta,
     MatchCache,
-    cache_stats,
     cached_canonical_code,
     cached_covered_edges,
     cached_is_subgraph,
@@ -52,7 +51,7 @@ from repro.perf.cache import (
     swap_match_cache,
     vf2_calls,
 )
-from repro.matching.isomorphism import kernel_stats, reset_kernel_stats
+from repro.matching.isomorphism import reset_kernel_stats
 from repro.perf.executor import (
     DEFAULT_CACHE_SEED_LIMIT,
     FAILURE_POLICIES,
@@ -71,7 +70,6 @@ __all__ = [
     "ItemFailure",
     "MatchCache",
     "backoff_s",
-    "cache_stats",
     "cached_canonical_code",
     "cached_covered_edges",
     "cached_is_subgraph",
@@ -80,7 +78,6 @@ __all__ = [
     "derive_seeds",
     "get_match_cache",
     "graph_fingerprint",
-    "kernel_stats",
     "pmap",
     "reset_kernel_stats",
     "reset_vf2_calls",

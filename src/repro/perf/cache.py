@@ -17,7 +17,7 @@ object churn:
 
 Entries are bounded (LRU eviction) and instrumented: hits, misses,
 evictions, and the number of underlying VF2 invocations are all
-observable through :func:`cache_stats` / :func:`vf2_calls`.  Cached
+observable through :func:`repro.obs.matching_snapshot`.  Cached
 and uncached execution are interchangeable by construction — every
 cached value is exactly what the wrapped matcher would recompute.
 
@@ -50,7 +50,6 @@ engine-lifetime caches (MIDAS) keep paying off inside the pool.
 from __future__ import annotations
 
 import hashlib
-import warnings
 from collections import OrderedDict
 from contextlib import contextmanager
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
@@ -311,27 +310,6 @@ def swap_match_cache(cache: MatchCache) -> MatchCache:
     previous = _global_cache
     _global_cache = cache
     return previous
-
-
-def cache_stats() -> Dict[str, float]:
-    """Stats of the process-global cache plus the VF2 call counter.
-
-    Deprecated alias: the canonical endpoint is now
-    :func:`repro.obs.matching_snapshot` (and the wider
-    :func:`repro.obs.snapshot`); this function delegates to it and
-    keeps its historical flat dict shape — match-cache counters merged
-    with the kernel counters (``feasibility_checks``,
-    ``recursive_calls``, ``candidates_pruned``), ``vf2_calls``, and
-    the canonical-code memo's hit/miss counters.
-    """
-    from repro.obs.metrics import matching_snapshot
-
-    warnings.warn(
-        "repro.perf.cache_stats() is deprecated; use "
-        "repro.obs.snapshot()['matching'] (or "
-        "repro.obs.matching_snapshot())",
-        DeprecationWarning, stacklevel=2)
-    return matching_snapshot()
 
 
 def clear_match_cache() -> None:

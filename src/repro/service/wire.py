@@ -123,8 +123,10 @@ def config_from_payload(payload: object) -> PipelineConfig:
     The wire shape mirrors the dataclass: ``budget`` is
     ``{"max_patterns": k, "min_size": n, "max_size": m}``, everything
     else maps 1:1 (``options`` stays a plain mapping).  Unknown keys
-    raise :class:`repro.errors.OptionError` → HTTP 400, the same
-    validation contract ``from_pipeline`` applies to options.
+    raise :class:`repro.errors.OptionError` → HTTP 400; invalid
+    ``options`` raise :class:`repro.errors.PipelineError` (also 400)
+    when :func:`repro.config.stage_config` validates them at build
+    time.
     """
     if payload is None:
         payload = {}

@@ -27,7 +27,6 @@ from repro.tattoo.pipeline import (
     TattooConfig,
     TattooResult,
     extract_candidates,
-    select_network_patterns,
 )
 
 __all__ = [
@@ -51,5 +50,4 @@ __all__ = [
     "TattooConfig",
     "TattooResult",
     "extract_candidates",
-    "select_network_patterns",
 ]

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import random
 import time
+from dataclasses import replace
 from typing import Dict, List, Optional, Set
 
 from repro.errors import PipelineError, WorkerFailure
@@ -241,14 +242,10 @@ def select_patterns_distributed(network: Graph, budget: PatternBudget,
                                                hops=halo_hops)
                     halo = view.order() - len(partition)
                     if view.size() > 0:
-                        worker_config = TattooConfig(
-                            truss_threshold=config.truss_threshold,
-                            seed=config.seed + worker_id,
-                            weights=config.weights,
-                            samples_scale=config.samples_scale,
-                            max_embeddings=config.max_embeddings,
-                            classes=config.classes,
-                            max_retries=config.max_retries)
+                        worker_config = replace(
+                            config, seed=config.seed + worker_id,
+                            workers=None, use_cache=True, trace=False,
+                            deadline_s=None)
                         by_class = extract_candidates(view, budget,
                                                       worker_config)
                         candidates: List[Pattern] = []

@@ -17,15 +17,15 @@ from __future__ import annotations
 
 import random
 import time
-import warnings
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
+from repro.config import RunConfig
 from repro.errors import PipelineError
 from repro.graph.graph import Graph
 from repro.obs import capture, span
 from repro.patterns.base import Pattern, PatternBudget, PatternSet
 from repro.patterns.index import CoverageIndex
-from repro.patterns.scoring import DEFAULT_WEIGHTS, ScoreWeights
 from repro.patterns.selection import SelectionResult, SetScorer, greedy_select
 from repro.patterns.topologies import TopologyClass
 from repro.perf.cache import get_match_cache
@@ -36,66 +36,30 @@ from repro.tattoo.candidates import EXTRACTORS
 from repro.truss.decomposition import DEFAULT_TRUSS_THRESHOLD, split_by_truss
 
 
-class TattooConfig:
+@dataclass(frozen=True)
+class TattooConfig(RunConfig):
     """Tunables of the TATTOO pipeline.
 
+    The shared run fields come from :class:`repro.config.RunConfig`.
     ``workers`` fans the per-topology-class extraction out over
     :func:`repro.perf.pmap` processes; each class extracts with a seed
     split off ``seed``, so results are identical at every worker
     count.  ``use_cache`` toggles the shared VF2 match cache used by
     the greedy selection's coverage index — extraction and coverage
     pmap calls then run in cache-merge mode, so worker cache hits
-    fold back into the coordinator's cache deterministically;
-    ``trace`` captures a
-    :mod:`repro.obs` trace for this run even when ``REPRO_TRACE`` is
-    unset.  ``deadline_s`` bounds the run's wall clock (stages stop
-    early and the result degrades instead of raising);
-    ``max_retries`` is the per-item retry budget failing pmap work
-    items get before being skipped.
+    fold back into the coordinator's cache deterministically.
+    ``truss_threshold`` splits G_T from G_O; ``samples_scale`` scales
+    every extractor's sample count; ``classes`` picks the topology
+    classes to extract (empty means all of them).
     """
 
-    __slots__ = ("truss_threshold", "seed", "weights", "samples_scale",
-                 "max_embeddings", "classes", "workers", "use_cache",
-                 "trace", "deadline_s", "max_retries")
+    truss_threshold: int = DEFAULT_TRUSS_THRESHOLD
+    samples_scale: float = 1.0
+    classes: Sequence[TopologyClass] = tuple(EXTRACTORS)
 
-    def __init__(self, truss_threshold: int = DEFAULT_TRUSS_THRESHOLD,
-                 seed: int = 0,
-                 weights: ScoreWeights = DEFAULT_WEIGHTS,
-                 samples_scale: float = 1.0,
-                 max_embeddings: int = 30,
-                 classes: Optional[Sequence[TopologyClass]] = None,
-                 workers: Optional[int] = None,
-                 use_cache: bool = True,
-                 trace: bool = False,
-                 deadline_s: Optional[float] = None,
-                 max_retries: int = 0) -> None:
-        self.truss_threshold = truss_threshold
-        self.seed = seed
-        self.weights = weights
-        self.samples_scale = samples_scale
-        self.max_embeddings = max_embeddings
-        self.classes = tuple(classes) if classes else tuple(EXTRACTORS)
-        self.workers = workers
-        self.use_cache = use_cache
-        self.trace = trace
-        self.deadline_s = deadline_s
-        self.max_retries = max_retries
-
-    @classmethod
-    def from_pipeline(cls, pipeline) -> "TattooConfig":
-        """Translate a :class:`repro.core.pipeline.PipelineConfig`:
-        shared fields map 1:1 and TATTOO-specific knobs come from
-        ``pipeline.options`` (unknown option names raise)."""
-        kwargs = dict(pipeline.options)
-        unknown = sorted(set(kwargs) - set(cls.__slots__))
-        if unknown:
-            raise PipelineError(
-                "unknown TATTOO option(s): " + ", ".join(unknown))
-        for name in ("seed", "workers", "use_cache", "weights",
-                     "max_embeddings", "trace", "deadline_s",
-                     "max_retries"):
-            kwargs.setdefault(name, getattr(pipeline, name))
-        return cls(**kwargs)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "classes",
+                           tuple(self.classes or EXTRACTORS))
 
 
 class TattooResult:
@@ -262,8 +226,7 @@ def extract_candidates(network: Graph, budget: PatternBudget,
 
 def _run_tattoo(network: Graph, budget: PatternBudget,
                 config: TattooConfig) -> TattooResult:
-    """The actual pipeline, shared by the new-style entry points and
-    the deprecated keyword signature."""
+    """The pipeline body behind :func:`repro.core.pipeline.run_tattoo`."""
     if network.size() == 0:
         raise PipelineError("TATTOO needs a network with edges")
     timings: Dict[str, float] = {}
@@ -318,33 +281,3 @@ def _run_tattoo(network: Graph, budget: PatternBudget,
     return TattooResult(selection.patterns, g_t, g_o, by_class,
                         selection, timings, trace=run.record,
                         completion=report)
-
-
-def select_network_patterns(network: Graph, budget=None,
-                            config: Optional[TattooConfig] = None
-                            ) -> TattooResult:
-    """Run the full TATTOO pipeline on one network.
-
-    New-style calls pass a single :class:`repro.core.pipeline.
-    PipelineConfig` in place of ``budget`` (or use :func:`repro.core.
-    pipeline.run_tattoo`).  The legacy ``(network, budget,
-    TattooConfig)`` signature still works but emits a
-    ``DeprecationWarning``.
-    """
-    from repro.core.pipeline import PipelineConfig
-
-    if isinstance(budget, PipelineConfig):
-        if config is not None:
-            raise PipelineError(
-                "pass TATTOO options inside PipelineConfig.options, "
-                "not as a separate TattooConfig")
-        return _run_tattoo(network, budget.require_budget(),
-                           TattooConfig.from_pipeline(budget))
-    warnings.warn(
-        "select_network_patterns(network, budget, TattooConfig) is "
-        "deprecated; pass a repro.core.pipeline.PipelineConfig instead "
-        "(or call repro.core.pipeline.run_tattoo)",
-        DeprecationWarning, stacklevel=2)
-    if budget is None:
-        raise PipelineError("TATTOO needs a PatternBudget")
-    return _run_tattoo(network, budget, config or TattooConfig())

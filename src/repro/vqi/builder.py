@@ -13,9 +13,10 @@ paradigm (paper §2.2).
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Union
 
-from repro.catapult.pipeline import CatapultConfig, _run_catapult
+from repro.core.pipeline import PipelineConfig, run_selection
 from repro.errors import PipelineError
 from repro.graph.graph import Graph
 from repro.graph.operations import edge_subgraph
@@ -27,7 +28,6 @@ from repro.query.engine import (
     QueryEngine,
     QueryResultSet,
 )
-from repro.tattoo.pipeline import TattooConfig, _run_tattoo
 from repro.vqi.panels import (
     AttributePanel,
     PatternPanel,
@@ -130,58 +130,61 @@ class BuildReport:
                 f"{self.duration:.2f}s{flag}>")
 
 
+def _with_budget(config: Optional[PipelineConfig],
+                 budget: PatternBudget) -> PipelineConfig:
+    """``config`` (default: library defaults) bound to ``budget``, the
+    panel's budget.  A ``config.budget`` that disagrees with it raises
+    :class:`repro.errors.PipelineError` instead of being dropped."""
+    config = config or PipelineConfig()
+    if config.budget is not None and config.budget != budget:
+        raise PipelineError(
+            f"config.budget {config.budget!r} disagrees with the "
+            f"panel budget {budget!r}")
+    return replace(config, budget=budget)
+
+
 def build_vqi(data: DataSource, budget: PatternBudget,
-              catapult_config: Optional[CatapultConfig] = None,
-              tattoo_config: Optional[TattooConfig] = None,
+              config: Optional[PipelineConfig] = None,
               source_name: str = "") -> VisualQueryInterface:
     """Build a data-driven VQI from any graph data source.
 
-    A single :class:`repro.graph.Graph` is treated as a large network
-    (TATTOO); a sequence of graphs as a repository (CATAPULT).
+    Selection dispatches through :func:`repro.core.pipeline.
+    run_selection`: a single :class:`repro.graph.Graph` is treated as
+    a large network (TATTOO), a sequence of graphs as a repository
+    (CATAPULT).  ``config`` carries the run settings and pipeline
+    options; ``budget`` is the panel's budget.
     """
-    vqi, _ = build_vqi_with_report(data, budget,
-                                   catapult_config=catapult_config,
-                                   tattoo_config=tattoo_config,
+    vqi, _ = build_vqi_with_report(data, budget, config,
                                    source_name=source_name)
     return vqi
 
 
 def build_vqi_with_report(data: DataSource, budget: PatternBudget,
-                          catapult_config: Optional[CatapultConfig] = None,
-                          tattoo_config: Optional[TattooConfig] = None,
+                          config: Optional[PipelineConfig] = None,
                           source_name: str = ""
                           ) -> tuple[VisualQueryInterface, BuildReport]:
     """Like :func:`build_vqi`, also returning build provenance."""
     start = time.perf_counter()
-    if isinstance(data, Graph):
+    if not isinstance(data, Graph):
+        data = list(data)
+    result = run_selection(data, _with_budget(config, budget))
+    generator = result.stats["pipeline"]
+    if generator == "tattoo":
+        network, repository = data, None
         attribute_panel = AttributePanel.from_network(data)
-        result = _run_tattoo(data, budget,
-                             tattoo_config or TattooConfig())
-        canned = result.patterns
-        generator = "tattoo"
-        timings = dict(result.timings)
-        repository = None
-        network = data
         source = source_name or data.name or "network"
     else:
-        repository = list(data)
-        if not repository:
-            raise PipelineError("cannot build a VQI from no data")
-        attribute_panel = AttributePanel.from_repository(repository)
-        result = _run_catapult(
-            repository, budget, catapult_config or CatapultConfig())
-        canned = result.patterns
-        generator = "catapult"
-        timings = dict(result.timings)
-        network = None
+        network, repository = None, data
+        attribute_panel = AttributePanel.from_repository(data)
         source = source_name or "repository"
 
-    pattern_panel = PatternPanel(default_basic_patterns(), canned, budget)
+    pattern_panel = PatternPanel(default_basic_patterns(),
+                                 result.patterns, budget)
     spec = VQISpec(source, generator, attribute_panel, pattern_panel)
     vqi = VisualQueryInterface(spec, repository=repository,
                                network=network)
-    report = BuildReport(generator, time.perf_counter() - start, timings,
-                         trace=result.trace,
+    report = BuildReport(generator, time.perf_counter() - start,
+                         dict(result.timings), trace=result.trace,
                          degraded=result.degraded,
                          completion=result.completion.as_dict())
     return vqi, report

@@ -11,27 +11,32 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
+from repro.core.pipeline import PipelineConfig
 from repro.datasets.evolving import UpdateBatch
 from repro.errors import PipelineError
-from repro.midas.maintenance import MaintenanceReport, Midas, MidasConfig
+from repro.midas.maintenance import MaintenanceReport, Midas
 from repro.patterns.base import PatternBudget
 from repro.query.engine import QueryEngine
-from repro.vqi.builder import VisualQueryInterface
+from repro.vqi.builder import VisualQueryInterface, _with_budget, build_vqi
 from repro.vqi.panels import AttributePanel, PatternPanel
 from repro.vqi.spec import VQISpec
 
 
 class MaintainedVQI:
-    """A repository VQI paired with its MIDAS maintainer."""
+    """A repository VQI paired with its MIDAS maintainer.
+
+    ``config`` carries the maintainer's run settings and MIDAS
+    options; its budget, if set, must agree with the panel's.
+    """
 
     def __init__(self, vqi: VisualQueryInterface,
-                 config: Optional[MidasConfig] = None) -> None:
+                 config: Optional[PipelineConfig] = None) -> None:
         if vqi.repository is None:
             raise PipelineError(
                 "MIDAS maintenance applies to repository VQIs only")
         self.vqi = vqi
-        self.midas = Midas._from_parts(vqi.repository,
-                                       vqi.pattern_panel.budget, config)
+        self.midas = Midas(vqi.repository,
+                           _with_budget(config, vqi.pattern_panel.budget))
         # adopt the maintainer's (FCT-vocabulary) initial selection so
         # panel and maintainer state agree from the start
         self._sync()
@@ -64,9 +69,8 @@ class MaintainedVQI:
 
 
 def build_maintained_vqi(repository: Sequence, budget: PatternBudget,
-                         midas_config: Optional[MidasConfig] = None
+                         config: Optional[PipelineConfig] = None
                          ) -> MaintainedVQI:
     """One-call construction of a VQI with maintenance attached."""
-    from repro.vqi.builder import build_vqi
     vqi = build_vqi(list(repository), budget)
-    return MaintainedVQI(vqi, config=midas_config)
+    return MaintainedVQI(vqi, config=config)

@@ -123,6 +123,13 @@ class TestCanonicalProperties:
         assert same_code == are_isomorphic(g1, g2)
 
 
+def memo_stats():
+    """(hits, misses) of the per-object canonical-code memo."""
+    from repro.obs import matching_snapshot
+    stats = matching_snapshot()
+    return stats["canonical_memo_hits"], stats["canonical_memo_misses"]
+
+
 class TestPerObjectMemo:
     """canonical_code is memoized per object, keyed by version()."""
 
@@ -131,37 +138,31 @@ class TestPerObjectMemo:
         reset_canonical_memo_stats()
 
     def test_repeat_calls_hit_the_memo(self):
-        from repro.matching import canonical_memo_stats
         g = gnm_random_graph(7, 10, random.Random(3), labels=["A", "B"])
         first = canonical_code(g)
-        assert canonical_memo_stats()["misses"] == 1
+        assert memo_stats() == (0, 1)
         assert canonical_code(g) == first
         assert canonical_code(g) == first
-        stats = canonical_memo_stats()
-        assert stats["hits"] == 2
-        assert stats["misses"] == 1
+        assert memo_stats() == (2, 1)
 
     def test_mutation_invalidates_the_memo(self):
-        from repro.matching import canonical_memo_stats
         g = gnm_random_graph(6, 8, random.Random(4), labels=["A", "B"])
         before = canonical_code(g)
         g.set_node_label(next(iter(g.nodes())), "Z")
         after = canonical_code(g)
         assert after != before
-        assert canonical_memo_stats()["misses"] == 2
+        assert memo_stats()[1] == 2
         # and the new code is itself memoized
         assert canonical_code(g) == after
-        assert canonical_memo_stats()["hits"] == 1
+        assert memo_stats()[0] == 1
 
     def test_distinct_equal_objects_memoize_separately(self):
-        from repro.matching import canonical_memo_stats
         g = gnm_random_graph(6, 8, random.Random(5), labels=["A", "B"])
         h = g.copy()
         assert canonical_code(g) == canonical_code(h)
-        assert canonical_memo_stats()["misses"] == 2
+        assert memo_stats()[1] == 2
 
     def test_empty_graph_bypasses_memo(self):
         from repro.graph import Graph
-        from repro.matching import canonical_memo_stats
         assert canonical_code(Graph()) == "#"
-        assert canonical_memo_stats() == {"hits": 0, "misses": 0}
+        assert memo_stats() == (0, 0)

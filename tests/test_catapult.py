@@ -9,10 +9,10 @@ from repro.catapult import (
     cluster_repository,
     default_cluster_count,
     generate_candidates,
-    select_canned_patterns,
     summarize_clusters,
     walk_candidate,
 )
+from repro.core import PipelineConfig, run_catapult
 from repro.datasets import generate_chemical_repository
 from repro.errors import PipelineError
 from repro.graph import is_connected, path_graph
@@ -33,9 +33,8 @@ def budget():
 
 @pytest.fixture(scope="module")
 def result(repo, budget):
-    return select_canned_patterns(repo, budget,
-                                  CatapultConfig(seed=7,
-                                                 walks_per_cluster=30))
+    return run_catapult(repo, PipelineConfig(
+        budget=budget, seed=7, options={"walks_per_cluster": 30}))
 
 
 class TestClusterCount:
@@ -128,14 +127,15 @@ class TestEndToEnd:
         assert result.selection.score > 0.0
 
     def test_deterministic(self, repo, budget):
-        config = CatapultConfig(seed=7, walks_per_cluster=30)
-        a = select_canned_patterns(repo, budget, config)
-        b = select_canned_patterns(repo, budget, config)
+        config = PipelineConfig(budget=budget, seed=7,
+                                options={"walks_per_cluster": 30})
+        a = run_catapult(repo, config)
+        b = run_catapult(repo, config)
         assert a.patterns.codes() == b.patterns.codes()
 
     def test_empty_repository_rejected(self, budget):
         with pytest.raises(PipelineError):
-            select_canned_patterns([], budget)
+            run_catapult([], PipelineConfig(budget=budget))
 
     def test_patterns_are_canned_size(self, result):
         assert all(p.order() >= 4 for p in result.patterns)

@@ -121,10 +121,9 @@ class TestDistributedSelection:
                                         shortlist_factor=0)
 
     def test_quality_close_to_single_machine(self, network, budget):
+        from repro.core import PipelineConfig, run_tattoo
         from repro.patterns import pattern_set_score
-        from repro.tattoo import select_network_patterns
-        single = select_network_patterns(network, budget,
-                                         TattooConfig(seed=1))
+        single = run_tattoo(network, PipelineConfig(budget=budget, seed=1))
         distributed = select_patterns_distributed(
             network, budget, parts=3, config=TattooConfig(seed=1))
         q_single = pattern_set_score(list(single.patterns), [network])

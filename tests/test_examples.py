@@ -2,8 +2,8 @@
 
 Each example is executed in a scratch directory via runpy, so file
 artifacts (SVGs, spec JSONs) land in tmp and stdout stays quiet.
-Only the two fastest examples run here; the rest are exercised by
-the benchmarks and by their underlying integration tests.
+The examples that finish in a few seconds run here; the slow MIDAS
+one (``evolving_database_maintenance.py``) is only compiled.
 """
 
 import os
@@ -40,6 +40,18 @@ class TestExamples:
                           capsys)
         assert "Sketch Panel" in out
         assert "distance=" in out
+
+    def test_chemical_catalog_search(self, tmp_path, capsys):
+        out = run_example("chemical_catalog_search.py", tmp_path,
+                          capsys)
+        assert "CATAPULT selection" in out
+        assert "data-driven vs manual" in out
+
+    def test_social_network_exploration(self, tmp_path, capsys):
+        out = run_example("social_network_exploration.py", tmp_path,
+                          capsys)
+        assert "built with tattoo" in out
+        assert "embeddings found" in out
 
     def test_all_examples_compile(self):
         """Every example at least parses (cheap regression net)."""

@@ -17,10 +17,9 @@ from repro.usability import (
 def setup():
     repo = generate_chemical_repository(20, seed=73)
     workload = list(generate_workload(repo, 6, seed=74))
-    from repro.catapult import CatapultConfig, select_canned_patterns
-    selection = select_canned_patterns(
-        repo, PatternBudget(5, min_size=4, max_size=8),
-        CatapultConfig(seed=1))
+    from repro.core import PipelineConfig, run_catapult
+    selection = run_catapult(repo, PipelineConfig(
+        budget=PatternBudget(5, min_size=4, max_size=8), seed=1))
     panel = default_basic_patterns() + list(selection.patterns)
     return workload, panel
 

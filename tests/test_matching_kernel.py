@@ -17,10 +17,19 @@ from repro.matching import (
     WILDCARD,
     SubgraphMatcher,
     covered_edges,
-    kernel_stats,
     labels_compatible,
     reset_kernel_stats,
 )
+from repro.obs import matching_snapshot
+
+KERNEL_COUNTERS = ("feasibility_checks", "recursive_calls",
+                   "candidates_pruned")
+
+
+def kernel_counters():
+    """The kernel-counter slice of the matching snapshot."""
+    stats = matching_snapshot()
+    return {key: stats[key] for key in KERNEL_COUNTERS}
 
 
 def embeddings_as_keys(matcher, max_results=None):
@@ -168,34 +177,33 @@ class TestKernelCounters:
             reset_kernel_stats()
             matcher = SubgraphMatcher(pattern, target, kernel=kernel)
             list(matcher.iter_embeddings(max_results=None))
-            checks[kernel] = kernel_stats()["feasibility_checks"]
+            checks[kernel] = kernel_counters()["feasibility_checks"]
         assert checks["indexed"] < checks["legacy"]
 
     def test_counters_reset_and_accumulate(self):
         reset_kernel_stats()
-        assert kernel_stats() == {"feasibility_checks": 0,
-                                  "recursive_calls": 0,
-                                  "candidates_pruned": 0}
+        assert kernel_counters() == {"feasibility_checks": 0,
+                                     "recursive_calls": 0,
+                                     "candidates_pruned": 0}
         target = complete_graph(4, label="A")
         list(SubgraphMatcher(complete_graph(3, label="A"),
                              target).iter_embeddings(max_results=None))
-        stats = kernel_stats()
+        stats = kernel_counters()
         assert stats["recursive_calls"] > 0
         assert stats["feasibility_checks"] > 0
 
     def test_counters_surface_through_perf_cache_stats(self):
-        from repro.perf import cache_stats, clear_match_cache
+        from repro.perf import clear_match_cache
         clear_match_cache()
-        stats = cache_stats()
-        for key in ("feasibility_checks", "recursive_calls",
-                    "candidates_pruned", "canonical_memo_hits",
-                    "canonical_memo_misses"):
+        stats = matching_snapshot()
+        for key in KERNEL_COUNTERS + ("canonical_memo_hits",
+                                      "canonical_memo_misses"):
             assert key in stats
         assert stats["feasibility_checks"] == 0
         list(SubgraphMatcher(complete_graph(3, label="A"),
                              complete_graph(4, label="A"))
              .iter_embeddings(max_results=None))
-        assert cache_stats()["feasibility_checks"] > 0
+        assert matching_snapshot()["feasibility_checks"] > 0
 
 
 class TestCoveredEdgesEarlyExit:
@@ -227,12 +235,12 @@ class TestCoveredEdgesEarlyExit:
         pattern = build_graph([(0, "A"), (1, "A")], edges=[(0, 1)])
         reset_kernel_stats()
         covered = covered_edges(pattern, target, max_embeddings=None)
-        saturated_calls = kernel_stats()["recursive_calls"]
+        saturated_calls = kernel_counters()["recursive_calls"]
         assert covered == set(target.edges())
         reset_kernel_stats()
         list(SubgraphMatcher(pattern, target)
              .iter_embeddings(max_results=None))
-        full_calls = kernel_stats()["recursive_calls"]
+        full_calls = kernel_counters()["recursive_calls"]
         assert saturated_calls < full_calls
 
     def test_edgeless_inputs(self):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import PipelineConfig
 from repro.datasets import (
     EvolvingRepository,
     UpdateBatch,
@@ -11,7 +12,7 @@ from repro.datasets import (
 )
 from repro.errors import MaintenanceError, PipelineError
 from repro.graph import path_graph, star_graph
-from repro.midas import FCTIndex, Midas, MidasConfig, multi_scan_swap
+from repro.midas import FCTIndex, Midas, multi_scan_swap
 from repro.patterns import (
     CoverageIndex,
     Pattern,
@@ -130,24 +131,25 @@ class TestSwapping:
 
 class TestMidas:
     def test_initialization(self, repo, budget):
-        midas = Midas(repo, budget, MidasConfig(seed=1))
+        midas = Midas(repo, PipelineConfig(budget=budget, seed=1))
         assert len(midas.patterns) <= budget.max_patterns
         assert len(midas.patterns) > 0
         assert midas.gfd()
 
     def test_empty_repo_rejected(self, budget):
         with pytest.raises(PipelineError):
-            Midas([], budget)
+            Midas([], PipelineConfig(budget=budget))
 
     def test_unnamed_graphs_rejected(self, budget):
         anonymous = path_graph(4)
         anonymous.name = ""
         with pytest.raises(MaintenanceError):
-            Midas([anonymous], budget)
+            Midas([anonymous], PipelineConfig(budget=budget))
 
     def test_minor_batch_keeps_patterns(self, repo, budget):
-        midas = Midas(repo, budget, MidasConfig(seed=1,
-                                                drift_threshold=0.5))
+        midas = Midas(repo, PipelineConfig(
+            budget=budget, seed=1,
+            options={"drift_threshold": 0.5}))
         before = midas.patterns.codes()
         rng = random.Random(5)
         batch = UpdateBatch(added=[generate_molecule(rng, name="new0")])
@@ -157,8 +159,9 @@ class TestMidas:
         assert report.score_after == report.score_before
 
     def test_major_batch_never_degrades(self, repo, budget):
-        midas = Midas(repo, budget, MidasConfig(seed=1,
-                                                drift_threshold=0.0))
+        midas = Midas(repo, PipelineConfig(
+            budget=budget, seed=1,
+            options={"drift_threshold": 0.0}))
         rng = random.Random(6)
         batch = UpdateBatch(
             added=[generate_molecule(rng, name=f"n{i}",
@@ -169,14 +172,14 @@ class TestMidas:
         assert report.score_after >= report.score_before - 1e-12
 
     def test_removal_tracked(self, repo, budget):
-        midas = Midas(repo, budget, MidasConfig(seed=1))
+        midas = Midas(repo, PipelineConfig(budget=budget, seed=1))
         name = repo[0].name
         report = midas.apply_batch(UpdateBatch(removed=[name]))
         assert report.removed == 1
         assert name not in {g.name for g in midas.graphs()}
 
     def test_unknown_removal_quarantined(self, repo, budget):
-        midas = Midas(repo, budget, MidasConfig(seed=1))
+        midas = Midas(repo, PipelineConfig(budget=budget, seed=1))
         before = {g.name for g in midas.graphs()}
         report = midas.apply_batch(UpdateBatch(removed=["nope"]))
         assert report.removed == 0
@@ -187,7 +190,7 @@ class TestMidas:
         assert report.degraded
 
     def test_duplicate_addition_quarantined(self, repo, budget):
-        midas = Midas(repo, budget, MidasConfig(seed=1))
+        midas = Midas(repo, PipelineConfig(budget=budget, seed=1))
         rng = random.Random(7)
         duplicate = generate_molecule(rng, name=repo[0].name)
         count = len(list(midas.graphs()))
@@ -199,7 +202,7 @@ class TestMidas:
         assert report.degraded
 
     def test_mixed_batch_applies_valid_ops(self, repo, budget):
-        midas = Midas(repo, budget, MidasConfig(seed=1))
+        midas = Midas(repo, PipelineConfig(budget=budget, seed=1))
         rng = random.Random(8)
         fresh = generate_molecule(rng, name="fresh0")
         batch = UpdateBatch(added=[fresh],
@@ -213,8 +216,9 @@ class TestMidas:
         assert repo[0].name not in names
 
     def test_drift_accumulates_until_major(self, repo, budget):
-        midas = Midas(repo, budget, MidasConfig(seed=1,
-                                                drift_threshold=0.012))
+        midas = Midas(repo, PipelineConfig(
+            budget=budget, seed=1,
+            options={"drift_threshold": 0.012}))
         evolving = EvolvingRepository([g.copy() for g in repo])
         stream = generate_update_stream(
             evolving, batches=8, batch_size=12, seed=9, drift_after=0,
@@ -226,7 +230,7 @@ class TestMidas:
         assert "major" in kinds
 
     def test_batch_membership_assignment(self, repo, budget):
-        midas = Midas(repo, budget, MidasConfig(seed=1))
+        midas = Midas(repo, PipelineConfig(budget=budget, seed=1))
         rng = random.Random(8)
         graph = generate_molecule(rng, name="assigned")
         midas.apply_batch(UpdateBatch(added=[graph]))

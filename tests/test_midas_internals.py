@@ -4,21 +4,23 @@ import random
 
 import pytest
 
+from repro.core import PipelineConfig
 from repro.datasets import (
     UpdateBatch,
     generate_chemical_repository,
     generate_molecule,
 )
 from repro.graphlets import repository_gfd
-from repro.midas import Midas, MidasConfig
+from repro.midas import Midas
 from repro.patterns import PatternBudget
 
 
 @pytest.fixture(scope="module")
 def midas():
     repo = generate_chemical_repository(30, seed=81)
-    return Midas(repo, PatternBudget(4, min_size=4, max_size=8),
-                 MidasConfig(seed=1, drift_threshold=0.5))
+    return Midas(repo, PipelineConfig(
+        budget=PatternBudget(4, min_size=4, max_size=8), seed=1,
+        options={"drift_threshold": 0.5}))
 
 
 class TestGfdBookkeeping:

@@ -166,30 +166,6 @@ class TestMetrics:
         assert snap["matching"]["hits"] == 0
         assert snap["matching"]["vf2_calls"] == 0
 
-    def test_snapshot_subsumes_the_legacy_cache_stats(self):
-        from repro.perf import cache_stats
-        legacy = cache_stats()
-        assert legacy == obs.matching_snapshot()
-        for key in ("hits", "misses", "vf2_calls",
-                    "canonical_memo_hits"):
-            assert key in legacy
-
-    def test_legacy_stats_aliases_warn_but_still_work(self):
-        import pytest
-        from repro.matching import canonical_memo_stats, kernel_stats
-        from repro.perf import cache_stats
-        with pytest.warns(DeprecationWarning):
-            flat = cache_stats()
-        with pytest.warns(DeprecationWarning):
-            kernel = kernel_stats()
-        with pytest.warns(DeprecationWarning):
-            memo = canonical_memo_stats()
-        # the aliases delegate: their data is the consolidated view's
-        assert kernel.items() <= obs.matching_snapshot().items()
-        assert memo["hits"] == \
-            obs.matching_snapshot()["canonical_memo_hits"]
-        assert set(flat) == set(obs.matching_snapshot())
-
     def test_consolidated_endpoint_does_not_warn(self):
         import warnings
         with warnings.catch_warnings():

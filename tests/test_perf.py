@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-from repro.catapult import CatapultConfig, select_canned_patterns
+from repro.core import PipelineConfig, run_catapult, run_tattoo
 from repro.datasets import (
     NetworkConfig,
     generate_chemical_repository,
@@ -40,7 +40,6 @@ from repro.perf import (
     vf2_calls,
 )
 from repro.perf.executor import WORKERS_ENV
-from repro.tattoo import TattooConfig, select_network_patterns
 
 
 def _square(x):
@@ -228,16 +227,15 @@ def small_network():
 
 
 def _catapult(repo, **overrides):
-    config = CatapultConfig(seed=7, walks_per_cluster=10, **overrides)
-    return select_canned_patterns(repo, PatternBudget(4, min_size=4,
-                                                      max_size=7), config)
+    return run_catapult(repo, PipelineConfig(
+        budget=PatternBudget(4, min_size=4, max_size=7), seed=7,
+        options={"walks_per_cluster": 10}, **overrides))
 
 
 def _tattoo(network, **overrides):
-    config = TattooConfig(seed=7, **overrides)
-    return select_network_patterns(network, PatternBudget(4, min_size=4,
-                                                          max_size=8),
-                                   config)
+    return run_tattoo(network, PipelineConfig(
+        budget=PatternBudget(4, min_size=4, max_size=8), seed=7,
+        **overrides))
 
 
 class TestPipelineEquivalence:

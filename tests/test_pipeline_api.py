@@ -3,15 +3,16 @@
 Every selection pipeline is reachable through one configuration
 surface (:class:`PipelineConfig`) and returns an object satisfying
 one protocol (:class:`PipelineResult`: ``.patterns`` / ``.stats`` /
-``.trace``).  The old per-pipeline keyword signatures keep working —
-byte-identical results — but warn with ``DeprecationWarning``.
+``.trace``).  Each stage config is built from it by
+:func:`repro.config.stage_config`.
 """
 
-import warnings
+from dataclasses import fields
 
 import pytest
 
-from repro.catapult import CatapultConfig, select_canned_patterns
+from repro.catapult import CatapultConfig
+from repro.config import stage_config
 from repro.core import (
     PipelineConfig,
     PipelineResult,
@@ -27,9 +28,25 @@ from repro.datasets import (
 )
 from repro.errors import PipelineError
 from repro.midas import Midas, MidasConfig
-from repro.patterns import PatternBudget
-from repro.tattoo import TattooConfig, select_network_patterns
+from repro.patterns import PatternBudget, ScoreWeights
+from repro.tattoo import TattooConfig
 from repro.tattoo.distributed import select_patterns_distributed
+
+#: A non-default value for every run field PipelineConfig shares with
+#: the stage configs.
+NON_DEFAULT = {"seed": 9, "workers": 2, "use_cache": False,
+               "trace": True, "weights": ScoreWeights(0.5, 2.0, 1.0),
+               "max_embeddings": 7, "deadline_s": 5.0, "max_retries": 2}
+
+#: One stage-specific option per stage config, set through options.
+STAGE_OPTION = {CatapultConfig: ("walks_per_cluster", 7),
+                TattooConfig: ("truss_threshold", 3),
+                MidasConfig: ("drift_threshold", 0.5)}
+
+
+def shared_fields(cls):
+    return sorted({f.name for f in fields(cls)}
+                  & {f.name for f in fields(PipelineConfig)})
 
 
 @pytest.fixture(scope="module")
@@ -72,25 +89,28 @@ class TestPipelineConfig:
         assert config.options == {"walks_per_cluster": 5}
         assert merged.budget is budget
 
-    def test_pipeline_options_reach_the_pipeline_config(self, budget):
-        config = PipelineConfig(budget=budget, seed=9, workers=2,
-                                options={"walks_per_cluster": 7})
-        catapult = CatapultConfig.from_pipeline(config)
-        assert catapult.seed == 9
-        assert catapult.workers == 2
-        assert catapult.walks_per_cluster == 7
-        tattoo = TattooConfig.from_pipeline(
-            PipelineConfig(budget=budget, seed=9,
-                           options={"truss_threshold": 3}))
-        assert tattoo.seed == 9
-        assert tattoo.truss_threshold == 3
+    @pytest.mark.parametrize("impl,name", [
+        (impl, name)
+        for impl in (CatapultConfig, TattooConfig, MidasConfig)
+        for name in shared_fields(impl)])
+    def test_pipeline_options_reach_the_pipeline_config(self, budget,
+                                                        impl, name):
+        value = NON_DEFAULT[name]
+        assert getattr(impl(), name) != value
+        option, setting = STAGE_OPTION[impl]
+        stage = stage_config(impl, PipelineConfig(
+            budget=budget, options={option: setting}, **{name: value}))
+        assert getattr(stage, name) == value
+        assert getattr(stage, option) == setting
 
     def test_unknown_option_raises(self, budget):
-        config = PipelineConfig(budget=budget,
-                                options={"no_such_knob": 1})
-        for impl in (CatapultConfig, TattooConfig, MidasConfig):
-            with pytest.raises(PipelineError):
-                impl.from_pipeline(config)
+        for options in ({"no_such_knob": 1}, {"seed": 2},
+                        {"seed": 2, "workers": 3}):
+            config = PipelineConfig(budget=budget, seed=1,
+                                    options=options)
+            for impl in (CatapultConfig, TattooConfig, MidasConfig):
+                with pytest.raises(PipelineError):
+                    stage_config(impl, config)
 
 
 class TestUnifiedRunners:
@@ -145,48 +165,3 @@ class TestUnifiedRunners:
                    if c["name"] == "distributed.worker"]
         assert len(workers) == 2
 
-
-class TestDeprecationShims:
-    def test_old_catapult_signature_warns_and_matches(self, repo,
-                                                      budget):
-        new = run_catapult(repo, PipelineConfig(budget=budget, seed=1))
-        with pytest.warns(DeprecationWarning):
-            old = select_canned_patterns(repo, budget,
-                                         CatapultConfig(seed=1))
-        assert sorted(old.patterns.codes()) \
-            == sorted(new.patterns.codes())
-
-    def test_old_tattoo_signature_warns_and_matches(self, network,
-                                                    budget):
-        new = run_tattoo(network, PipelineConfig(budget=budget,
-                                                 seed=1))
-        with pytest.warns(DeprecationWarning):
-            old = select_network_patterns(network, budget,
-                                          TattooConfig(seed=1))
-        assert sorted(old.patterns.codes()) \
-            == sorted(new.patterns.codes())
-
-    def test_old_midas_signature_warns_and_matches(self, repo, budget):
-        new = run_midas(repo, PipelineConfig(budget=budget, seed=2))
-        with pytest.warns(DeprecationWarning):
-            old = Midas(repo, budget, MidasConfig(seed=2))
-        assert sorted(old.patterns.codes()) \
-            == sorted(new.patterns.codes())
-
-    def test_new_style_does_not_warn(self, repo, budget):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            select_canned_patterns(repo, PipelineConfig(budget=budget,
-                                                        seed=1))
-            run_midas(repo, PipelineConfig(budget=budget, seed=2))
-
-    def test_budgetless_old_style_still_errors(self, repo):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(PipelineError):
-                select_canned_patterns(repo)
-
-    def test_mixing_config_styles_is_rejected(self, repo, budget):
-        with pytest.raises(PipelineError):
-            select_canned_patterns(repo,
-                                   PipelineConfig(budget=budget),
-                                   CatapultConfig())

@@ -103,11 +103,10 @@ class TestStudyIntegration:
         a superior experience."""
         repo = generate_chemical_repository(25, seed=61)
         workload = list(generate_workload(repo, 12, seed=62))
-        from repro.catapult import CatapultConfig, select_canned_patterns
+        from repro.core import PipelineConfig, run_catapult
         from repro.patterns import PatternBudget
-        selection = select_canned_patterns(
-            repo, PatternBudget(5, min_size=4, max_size=8),
-            CatapultConfig(seed=1))
+        selection = run_catapult(repo, PipelineConfig(
+            budget=PatternBudget(5, min_size=4, max_size=8), seed=1))
         panel = default_basic_patterns() + list(selection.patterns)
         study = run_study(workload, [
             StudyCondition("manual", []),

@@ -34,10 +34,10 @@ from reprolint.violations import PARSE_ERROR, Violation  # noqa: E402
 EXPECT_MARKER = re.compile(r"#\s*expect:\s*(R\d{3}(?:\s*,\s*R\d{3})*)")
 ALL_RULE_IDS = ("R001", "R002", "R003", "R004", "R005", "R006", "R007",
                 "R008", "R009", "R010", "R011", "R012", "R013", "R014",
-                "R015", "R016", "R017", "R018", "R019")
+                "R016", "R017", "R019")
 
 #: The whole-program rules (backed by reprolint.analysis).
-PROJECT_RULE_IDS = ("R011", "R012", "R013", "R014", "R015")
+PROJECT_RULE_IDS = ("R011", "R012", "R013", "R014")
 
 # R008/R016 only fire inside matching/truss package directories,
 # R009 inside catapult/tattoo/midas ones, and R019 inside store
@@ -308,7 +308,7 @@ class TestRuleMetadata(unittest.TestCase):
 
 
 class TestProjectRuleFixtures(unittest.TestCase):
-    """R011-R015 findings vanish when disabled or suppressed."""
+    """R011-R014 findings vanish when disabled or suppressed."""
 
     def fixture(self, rule_id):
         return FIXTURE_DIR / f"{rule_id.lower()}_violation.py"

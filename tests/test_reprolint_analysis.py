@@ -1,6 +1,6 @@
 """Unit tests for the reprolint whole-program analysis engine.
 
-Covers the three passes behind rules R011-R015 directly — the symbol
+Covers the three passes behind rules R011-R014 directly — the symbol
 table (import-chain resolution, re-export canonicalisation), the call
 graph (method edges, ``functools.partial`` references, reachability),
 and the per-function dataflow helpers (def-use, attribute mutations,

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.core import PipelineConfig, run_tattoo
 from repro.datasets import NetworkConfig, generate_network
 from repro.errors import PipelineError
 from repro.graph import Graph, is_connected
@@ -19,7 +20,6 @@ from repro.tattoo import (
     extract_petals,
     extract_stars,
     extract_trees,
-    select_network_patterns,
 )
 from repro.truss import split_by_truss
 
@@ -95,40 +95,38 @@ class TestExtractors:
 
 class TestPipeline:
     def test_end_to_end(self, network, budget):
-        result = select_network_patterns(network, budget,
-                                         TattooConfig(seed=4))
+        result = run_tattoo(network, PipelineConfig(budget=budget, seed=4))
         assert 0 < len(result.patterns) <= budget.max_patterns
         # every selected pattern actually occurs in the network
         for pattern in result.patterns:
             assert is_subgraph(pattern.graph, network)
 
     def test_regions_partition_edges(self, network, budget):
-        result = select_network_patterns(network, budget,
-                                         TattooConfig(seed=4))
+        result = run_tattoo(network, PipelineConfig(budget=budget, seed=4))
         assert (result.truss_region.size()
                 + result.oblivious_region.size()) == network.size()
 
     def test_class_restriction(self, network, budget):
-        config = TattooConfig(seed=1, classes=[TopologyClass.CHAIN,
-                                               TopologyClass.STAR])
-        result = select_network_patterns(network, budget, config)
+        config = PipelineConfig(budget=budget, seed=1, options={
+            "classes": [TopologyClass.CHAIN, TopologyClass.STAR]})
+        result = run_tattoo(network, config)
         for pattern in result.patterns:
             assert classify_topology(pattern.graph) in (
                 TopologyClass.CHAIN, TopologyClass.STAR)
 
     def test_all_candidates_deduped(self, network, budget):
-        result = select_network_patterns(network, budget,
-                                         TattooConfig(seed=4))
+        result = run_tattoo(network, PipelineConfig(budget=budget, seed=4))
         codes = [p.code for p in result.all_candidates()]
         assert len(codes) == len(set(codes))
 
     def test_empty_network_rejected(self, budget):
         with pytest.raises(PipelineError):
-            select_network_patterns(Graph(), budget)
+            run_tattoo(Graph(), PipelineConfig(budget=budget))
 
     def test_deterministic(self, network, budget):
-        a = select_network_patterns(network, budget, TattooConfig(seed=9))
-        b = select_network_patterns(network, budget, TattooConfig(seed=9))
+        config = PipelineConfig(budget=budget, seed=9)
+        a = run_tattoo(network, config)
+        b = run_tattoo(network, config)
         assert a.patterns.codes() == b.patterns.codes()
 
     def test_samples_scale(self, network, budget):

@@ -137,10 +137,10 @@ class TestStudies:
     def test_data_driven_beats_manual(self):
         repo = generate_chemical_repository(25, seed=29)
         workload = list(generate_workload(repo, 15, seed=30))
-        from repro.catapult import select_canned_patterns
+        from repro.core import PipelineConfig, run_catapult
         from repro.patterns import PatternBudget
-        result = select_canned_patterns(repo, PatternBudget(
-            5, min_size=4, max_size=8))
+        result = run_catapult(repo, PipelineConfig(
+            budget=PatternBudget(5, min_size=4, max_size=8)))
         panel = default_basic_patterns() + list(result.patterns)
         study = run_study(workload, [
             StudyCondition("manual", []),

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.catapult import CatapultConfig, select_canned_patterns
+from repro.core import PipelineConfig, run_catapult
 from repro.datasets import generate_chemical_repository, generate_workload
 from repro.patterns import PatternBudget
 from repro.usability import usability_report
@@ -12,9 +12,8 @@ from repro.usability import usability_report
 def report():
     repo = generate_chemical_repository(20, seed=91)
     workload = list(generate_workload(repo, 8, seed=92))
-    selection = select_canned_patterns(
-        repo, PatternBudget(4, min_size=4, max_size=8),
-        CatapultConfig(seed=1))
+    selection = run_catapult(repo, PipelineConfig(
+        budget=PatternBudget(4, min_size=4, max_size=8), seed=1))
     return usability_report(workload, list(selection.patterns),
                             title="Test report", seed=3)
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import PipelineConfig
 from repro.datasets import (
     NetworkConfig,
     UpdateBatch,
@@ -87,6 +88,16 @@ class TestBuilder:
     def test_empty_data_rejected(self, budget):
         with pytest.raises(PipelineError):
             build_vqi([], budget)
+
+    def test_config_budget_must_agree_with_the_panel(self, repo, budget,
+                                                     vqi):
+        with pytest.raises(PipelineError):
+            build_vqi(repo, budget, PipelineConfig(
+                budget=PatternBudget(3, min_size=4, max_size=8)))
+        same = build_vqi(repo, budget, PipelineConfig(
+            budget=PatternBudget(5, min_size=4, max_size=8)))
+        assert same.pattern_panel.canned.codes() \
+            == vqi.pattern_panel.canned.codes()
 
     def test_binding_validation(self, vqi):
         with pytest.raises(PipelineError):
@@ -183,6 +194,12 @@ class TestMaintainedVQI:
         assert maintained.vqi.spec.generator == "catapult+midas"
         # engine rebound to the grown repository
         assert len(maintained.vqi.repository) == len(repo) + 5
+
+    def test_config_reaches_the_maintainer(self, repo, budget):
+        maintained = build_maintained_vqi(repo[:15], budget, PipelineConfig(
+            seed=1, options={"drift_threshold": 0.5}))
+        assert maintained.midas.config.seed == 1
+        assert maintained.midas.config.drift_threshold == 0.5
 
     def test_network_vqi_rejected(self, budget):
         net = generate_network(NetworkConfig(nodes=100), seed=7)

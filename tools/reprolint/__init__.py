@@ -13,7 +13,7 @@ The reproduction commits to three load-bearing contracts (DESIGN.md,
 reprolint machine-checks those contracts with a stdlib-only ``ast``
 pass (R001-R010, per-file) plus a whole-program analysis engine —
 symbol table, call graph, and intra-procedural dataflow under
-``reprolint.analysis`` — that powers the project rules R011-R015:
+``reprolint.analysis`` — that powers the project rules R011-R014:
 
 ========  =====================================================
 Rule      Invariant
@@ -32,8 +32,6 @@ R012      pmap payloads are module-level and picklable
 R013      expensive stage loops poll their Deadline
 R014      wall-clock confined to obs/resilience/perf; no set-order
           leaking into pipeline results
-R015      from_pipeline forwards SHARED_PIPELINE_FIELDS; shims keep
-          their PipelineConfig branch
 ========  =====================================================
 
 (R010 — typed errors only — rounds out the per-file set.)

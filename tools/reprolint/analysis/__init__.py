@@ -1,7 +1,7 @@
 """Whole-program analysis core for reprolint.
 
 The per-file rules R001–R010 judge one AST at a time; the project
-rules R011–R015 need facts that span modules: *which function is this
+rules R011–R014 need facts that span modules: *which function is this
 name, really* (symbol table), *what can run when this stage runs*
 (call graph), and *where does this value flow inside a function*
 (dataflow).  This package provides exactly those three passes, all

@@ -82,7 +82,7 @@ class LintConfig:
     })
 
     # ------------------------------------------------------------------
-    # whole-program rules (R011-R015)
+    # whole-program rules (R011-R014)
     # ------------------------------------------------------------------
 
     #: The monotonic cache-invalidation counter (R011).  Any class
@@ -160,10 +160,6 @@ class LintConfig:
         "run_catapult", "run_tattoo", "run_midas", "run_selection",
     })
 
-    #: Names anchoring the shared pipeline-config contract (R015).
-    shared_fields_constant: str = "SHARED_PIPELINE_FIELDS"
-    pipeline_config_class: str = "PipelineConfig"
-
     #: Rule ids to run (empty = all registered rules).
     select: FrozenSet[str] = frozenset()
 
@@ -219,8 +215,6 @@ class LintConfig:
                     "wallclock_allowed_dirs", "result_root_functions"):
             if key in raw:
                 kwargs[key] = frozenset(raw[key])
-        for key in ("version_attr", "shared_fields_constant",
-                    "pipeline_config_class"):
-            if key in raw:
-                kwargs[key] = str(raw[key])
+        if "version_attr" in raw:
+            kwargs["version_attr"] = str(raw["version_attr"])
         return cls(**kwargs)  # type: ignore[arg-type]

@@ -15,9 +15,7 @@ from reprolint.rules import (  # noqa: F401
     r012_pmap_payload,
     r013_deadline_poll,
     r014_determinism,
-    r015_shim_drift,
     r016_compact_bypass,
     r017_stale_scorer,
-    r018_deprecated_stats,
     r019_fsync_discipline,
 )

@@ -8,14 +8,12 @@ actually enforces:
 
 * **determinism** — every worker count produced the identical
   pattern set (byte-identical codes);
-* **kernel equivalence** — the indexed (compact CSR) kernel and the
-  legacy dict kernel produce byte-identical pattern sets
-  (``REPRO_KERNEL=legacy`` drives the oracle runs);
 * **cache invariance** — the merged hit rate at 4 workers is within
   one point of the serial run's (workers never start cold and the
   delta-replay accounting is worker-count invariant);
 * **payload** — a pickled graph (compact wire form) is smaller than
-  the nested-dict payload it replaced;
+  the nested-dict payload it replaced
+  (:func:`tests.oracles.legacy_pickle_payload`);
 * **speedup** — catapult and tattoo run faster at 4 workers than at
   1.  This is the only hardware-dependent gate: it hard-fails where
   ``os.cpu_count() > 1`` and is recorded as skipped (with the
@@ -26,6 +24,9 @@ With ``--trace out.json`` each experiment adds one traced run (via
 ``PipelineConfig(trace=True)``), writes every span record into one
 :mod:`repro.obs` trace envelope, and reports the per-stage wall-time
 breakdown plus the fraction of the root span its stages account for.
+
+The kernel and selection oracle comparisons on these workloads are
+tier-1 tests (``tests/test_lazy_selection.py``, ``PipelineOracles``).
 
 Usage::
 
@@ -45,6 +46,7 @@ import time
 from typing import Dict, List, Optional
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), ".."))
 
 from repro.core import pipeline
 from repro.core.pipeline import PipelineConfig
@@ -55,13 +57,10 @@ from repro.datasets import (
     generate_network,
     generate_update_stream,
 )
-from repro.graph.compact import legacy_pickle_payload
-from repro.matching.isomorphism import KERNEL_ENV
-from repro.obs import (matching_snapshot, metrics, stage_breakdown,
-                       write_trace)
+from repro.obs import matching_snapshot, stage_breakdown, write_trace
 from repro.patterns import PatternBudget
-from repro.patterns.selection import SELECT_ENV
 from repro.perf import clear_match_cache
+from tests.oracles import legacy_pickle_payload
 
 WORKER_COUNTS = (1, 4)
 
@@ -256,123 +255,6 @@ def run_midas(smoke: bool,
     return experiment
 
 
-def run_kernel_oracle(smoke: bool) -> Dict[str, object]:
-    """Pipeline-level kernel equivalence: indexed vs legacy dict.
-
-    Runs the catapult and tattoo workloads serially under each kernel
-    (selected process-wide through ``REPRO_KERNEL``) and requires
-    byte-identical sorted pattern-code sets.  This is the end-to-end
-    complement to ``bench_kernel.py``'s per-embedding check.
-    """
-    size = 30 if smoke else 150
-    repo = generate_chemical_repository(size, seed=7)
-    walks = 10 if smoke else 30
-    nodes = 150 if smoke else 600
-    network = generate_network(NetworkConfig(nodes=nodes, cliques=4,
-                                             petals=3, flowers=3), seed=2)
-    budget = PatternBudget(5, min_size=4, max_size=8)
-    codes: Dict[str, Dict[str, List[str]]] = {}
-    previous = os.environ.get(KERNEL_ENV)
-    try:
-        for kernel in ("indexed", "legacy"):
-            os.environ[KERNEL_ENV] = kernel
-            clear_match_cache()
-            cat = pipeline.run_catapult(repo, PipelineConfig(
-                budget=budget, seed=1, workers=1,
-                options={"walks_per_cluster": walks}))
-            clear_match_cache()
-            tat = pipeline.run_tattoo(network, PipelineConfig(
-                budget=budget, seed=1, workers=1))
-            codes[kernel] = {
-                "catapult": sorted(cat.patterns.codes()),
-                "tattoo": sorted(tat.patterns.codes()),
-            }
-    finally:
-        if previous is None:
-            os.environ.pop(KERNEL_ENV, None)
-        else:
-            os.environ[KERNEL_ENV] = previous
-        clear_match_cache()
-    return {
-        "name": "kernel_oracle",
-        "params": {"repository_size": size, "network_nodes": nodes},
-        "kernels_agree": codes["indexed"] == codes["legacy"],
-        "pattern_counts": {
-            kernel: {workload: len(pcodes)
-                     for workload, pcodes in sorted(per.items())}
-            for kernel, per in sorted(codes.items())
-        },
-    }
-
-
-#: Minimum naive/lazy exact-evaluation ratio on the E2/E4 workloads.
-SELECT_REDUCTION_FLOOR = 3.0
-
-
-def run_select_oracle(smoke: bool) -> Dict[str, object]:
-    """Selection equivalence: lazy (CELF) sweep vs the naive oracle.
-
-    Runs the catapult and tattoo workloads serially under each sweep
-    (selected process-wide through ``REPRO_SELECT``) and requires
-    byte-identical pattern-code *sequences* — the lazy sweep's
-    contract is bitwise equality, so unlike the kernel oracle the
-    codes are compared in selection order.  Also measures the exact
-    candidate evaluations each mode performs (via the
-    ``patterns.greedy.evaluations`` counter) and reports the
-    reduction the lazy sweep achieves.
-    """
-    size = 30 if smoke else 150
-    repo = generate_chemical_repository(size, seed=7)
-    walks = 10 if smoke else 30
-    nodes = 150 if smoke else 600
-    network = generate_network(NetworkConfig(nodes=nodes, cliques=4,
-                                             petals=3, flowers=3), seed=2)
-    budget = PatternBudget(5, min_size=4, max_size=8)
-    workloads = {
-        "catapult": lambda: pipeline.run_catapult(repo, PipelineConfig(
-            budget=budget, seed=1, workers=1,
-            options={"walks_per_cluster": walks})),
-        "tattoo": lambda: pipeline.run_tattoo(network, PipelineConfig(
-            budget=budget, seed=1, workers=1)),
-    }
-    codes: Dict[str, Dict[str, List[str]]] = {}
-    evaluations: Dict[str, Dict[str, int]] = {}
-    counters = metrics.registry().counters
-    previous = os.environ.get(SELECT_ENV)
-    try:
-        for mode in ("lazy", "naive"):
-            os.environ[SELECT_ENV] = mode
-            codes[mode] = {}
-            evaluations[mode] = {}
-            for workload, run in sorted(workloads.items()):
-                clear_match_cache()
-                before = counters.get("patterns.greedy.evaluations", 0)
-                result = run()
-                evaluations[mode][workload] = int(
-                    counters.get("patterns.greedy.evaluations", 0)
-                    - before)
-                codes[mode][workload] = result.patterns.codes()
-    finally:
-        if previous is None:
-            os.environ.pop(SELECT_ENV, None)
-        else:
-            os.environ[SELECT_ENV] = previous
-        clear_match_cache()
-    reduction = {
-        workload: (evaluations["naive"][workload]
-                   / evaluations["lazy"][workload]
-                   if evaluations["lazy"][workload] else 0.0)
-        for workload in sorted(workloads)
-    }
-    return {
-        "name": "select_oracle",
-        "params": {"repository_size": size, "network_nodes": nodes},
-        "sweeps_agree": codes["lazy"] == codes["naive"],
-        "evaluations": evaluations,
-        "evaluations_reduction": reduction,
-    }
-
-
 def run_deadline(smoke: bool) -> Dict[str, object]:
     """Anytime-pipeline smoke: CATAPULT under shrinking deadlines.
 
@@ -487,32 +369,6 @@ def _gates(experiments: Dict[str, Dict[str, object]],
                       "speedup requires cpu_count > 1")
         gates.append({"name": f"{name}.speedup",
                       "status": status, "detail": detail})
-    oracle = experiments["kernel_oracle"]
-    gates.append({
-        "name": "kernel_oracle.equivalence",
-        "status": "passed" if oracle["kernels_agree"] else "failed",
-        "detail": "indexed and legacy kernels yield identical "
-                  "pattern sets end to end",
-    })
-    select = experiments["select_oracle"]
-    gates.append({
-        "name": "select_oracle.byte_identity",
-        "status": "passed" if select["sweeps_agree"] else "failed",
-        "detail": "lazy and naive sweeps yield identical pattern "
-                  "sequences end to end",
-    })
-    reduction = select["evaluations_reduction"]
-    gates.append({
-        "name": "select_oracle.evaluations_reduction",
-        "status": ("passed"
-                   if all(ratio >= SELECT_REDUCTION_FLOOR
-                          for ratio in reduction.values())
-                   else "failed"),
-        "detail": ", ".join(
-            f"{workload} x{ratio:.2f}"
-            for workload, ratio in sorted(reduction.items()))
-        + f" (floor x{SELECT_REDUCTION_FLOOR})",
-    })
     gates.append({
         "name": "deadline_anytime.nonempty",
         "status": ("passed"
@@ -551,8 +407,6 @@ def main(argv: List[str] = None) -> int:
               f"speedup x{experiment['speedup']:.2f} "
               f"hit_rate {cache['hit_rate']:.2f} "
               f"rss {experiment['peak_rss_kb']}kB")
-    report["experiments"].append(run_kernel_oracle(args.smoke))
-    report["experiments"].append(run_select_oracle(args.smoke))
     report["experiments"].append(run_deadline(args.smoke))
 
     by_name = {exp["name"]: exp for exp in report["experiments"]}

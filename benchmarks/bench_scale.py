@@ -19,9 +19,10 @@ Per tier the ladder runs the lazy (CELF) sweep and gates:
   the tier cap;
 * **determinism** — workers 1 vs 4 produce byte-identical codes and
   scores;
-* **byte-identity** (oracle tiers) — ``REPRO_SELECT=naive`` over the
-  same instance produces identical codes, bitwise-equal scores, and
-  identical trajectories;
+* **byte-identity** (oracle tiers) — the quadratic oracle sweep
+  (:func:`tests.oracles.naive_selection`) over the same instance
+  produces identical codes, bitwise-equal scores, and identical
+  trajectories;
 * **evaluations reduction** — at the 10k-graph tier the lazy sweep
   performs at least 10x fewer exact evaluations than the naive
   oracle (3x at the 1k tier, where there is less to save).
@@ -47,9 +48,11 @@ import random
 import resource
 import sys
 import time
+from contextlib import nullcontext
 from typing import Dict, List, Optional, Sequence
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), ".."))
 
 from repro.datasets import NetworkConfig, generate_network
 from repro.graph import path_graph
@@ -60,7 +63,7 @@ from repro.patterns import (
     SetScorer,
     greedy_select,
 )
-from repro.patterns.selection import SELECT_ENV
+from tests.oracles import naive_selection
 
 #: Candidates per tier and the panel budget the sweep fills.
 N_CANDIDATES = 256
@@ -156,20 +159,14 @@ def build_network_instance(n_nodes: int, seed: int):
 def _sweep(mode: str, index: CoverageIndex,
            candidates: Sequence[Pattern],
            workers: Optional[int] = None) -> Dict[str, object]:
-    """One timed greedy sweep in ``mode`` against a fresh scorer."""
-    previous = os.environ.get(SELECT_ENV)
-    os.environ[SELECT_ENV] = mode
-    try:
+    """One timed greedy sweep (``"lazy"``, or the ``"naive"``
+    oracle) against a fresh scorer."""
+    with naive_selection() if mode == "naive" else nullcontext():
         scorer = SetScorer(index)
         start = time.perf_counter()
         selection = greedy_select(candidates, BUDGET, scorer,
                                   workers=workers)
         wall = time.perf_counter() - start
-    finally:
-        if previous is None:
-            os.environ.pop(SELECT_ENV, None)
-        else:
-            os.environ[SELECT_ENV] = previous
     return {
         "mode": mode,
         "workers": workers if workers is not None else 1,

@@ -412,17 +412,3 @@ def decode_graph(state: Tuple) -> Graph:
         g._edge_attrs = {k: dict(a) for k, a in edge_attrs.items()}
     return g
 
-
-def legacy_pickle_payload(graph: Graph) -> Tuple:
-    """The nested-dict state a ``Graph`` used to pickle as.
-
-    Kept only as the measurement baseline for the serialized-size and
-    encode/decode gates in ``benchmarks/bench_runner.py`` — nothing
-    decodes this shape anymore.
-    """
-    return (graph.name,
-            {u: dict(nbrs) for u, nbrs in graph._adj.items()},
-            dict(graph._node_labels),
-            {u: dict(a) for u, a in graph._node_attrs.items()},
-            dict(graph._edge_labels),
-            {k: dict(a) for k, a in graph._edge_attrs.items()})

@@ -14,63 +14,40 @@ Two matching semantics are provided:
 * **induced**: additionally, non-adjacent pattern nodes must map to
   non-adjacent target nodes.
 
-Two kernels implement that contract:
+The kernel runs over the target's compact CSR view
+(:meth:`repro.graph.graph.Graph.compact`): candidate pools are
+precomputed per pattern node — filtered through the interned label
+table, degree, and a neighbor-label-id-multiset signature — and
+partial mappings extend by intersecting the pool with the *smallest*
+already-matched neighbor image's neighbor slice.  Adjacency and
+edge-label tests are binary searches over the sorted slice; the
+kernel works in compact positions throughout and converts back to
+node ids only when an embedding is yielded.
 
-* ``kernel="indexed"`` (default) runs over the target's compact CSR
-  view (:meth:`repro.graph.graph.Graph.compact`): candidate pools are
-  precomputed per pattern node — filtered through the interned label
-  table, degree, and a neighbor-label-id-multiset signature — and
-  partial mappings extend by intersecting the pool with the
-  *smallest* already-matched neighbor image's neighbor slice.
-  Adjacency and edge-label tests are binary searches over the sorted
-  slice; the kernel works in compact positions throughout and
-  converts back to node ids only when an embedding is yielded.
-* ``kernel="legacy"`` is the pre-optimization kernel (label-only
-  pools, first-matched-neighbor anchoring).  It is retained as the
-  equivalence oracle for ``tests/test_matching_kernel.py`` and the
-  baseline ``benchmarks/bench_kernel.py`` measures pruning against.
-
-The kernels enumerate the same embeddings in the same *order*: the
-indexed kernel's anchored pools walk the first matched image's
-neighbors in edge-insertion order (the CSR's ``ins_neighbors`` run),
-exactly the sequence the legacy kernel's ``neighbors()`` loop
-produces.  Capped enumerations (``max_results``/``max_embeddings``)
-are therefore identical across kernels even when the cap binds —
-``benchmarks/bench_runner.py`` gates pipeline pattern sets on it.
-The default kernel can be overridden process-wide through the
-``REPRO_KERNEL`` environment variable (the bench harness drives its
-legacy-oracle runs with it).  Kernel work is instrumented:
-``feasibility_checks``, ``recursive_calls``, and
+Embeddings are enumerated in a fixed *order*: anchored pools walk the
+first matched image's neighbors in edge-insertion order (the CSR's
+``ins_neighbors`` run), exactly the sequence a plain ``neighbors()``
+loop produces, so even capped enumerations (``max_results`` /
+``max_embeddings``) equal those of the label-pool legacy kernel that
+``tests/oracles.py`` keeps as the equivalence oracle.  Kernel work is
+instrumented: ``feasibility_checks``, ``recursive_calls``, and
 ``candidates_pruned`` counters surface under ``"matching"`` in
 :func:`repro.obs.snapshot`.
 """
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_left
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from repro.graph.graph import Graph
 from repro.resilience.chaos import site as chaos_site
-from repro.errors import OptionError
 
 WILDCARD = "*"
 
-#: Environment variable overriding the process-wide default kernel.
-KERNEL_ENV = "REPRO_KERNEL"
-
-
-def default_kernel() -> str:
-    """The kernel used when a matcher is built without an explicit
-    choice: ``$REPRO_KERNEL`` if set (and non-empty), else
-    ``"indexed"``.  Read per matcher construction, so the bench
-    harness can flip it between runs."""
-    return os.environ.get(KERNEL_ENV) or "indexed"
-
 #: Process-global kernel instrumentation.  ``feasibility_checks``
 #: counts per-candidate feasibility evaluations (the unit the
-#: bench-kernel gate tracks), ``recursive_calls`` counts backtracking
+#: kernel-counter tests gate), ``recursive_calls`` counts backtracking
 #: extensions, and ``candidates_pruned`` counts target nodes excluded
 #: before feasibility was ever evaluated (pool construction plus
 #: anchor-intersection filtering).
@@ -136,22 +113,13 @@ class SubgraphMatcher:
         Graphs to match; the pattern is the smaller query structure.
     induced:
         Use induced-subgraph semantics (see module docstring).
-    kernel:
-        ``"indexed"`` or ``"legacy"`` (see module docstring); None
-        defers to :func:`default_kernel`.
     """
 
     def __init__(self, pattern: Graph, target: Graph,
-                 induced: bool = False,
-                 kernel: Optional[str] = None) -> None:
-        if kernel is None:
-            kernel = default_kernel()
-        if kernel not in ("indexed", "legacy"):
-            raise OptionError(f"unknown matching kernel {kernel!r}")
+                 induced: bool = False) -> None:
         self.pattern = pattern
         self.target = target
         self.induced = induced
-        self.kernel = kernel
         self._order = _matching_order(pattern)
         # pattern neighbors already matched when a node is placed
         self._placed_before: List[List[int]] = []
@@ -160,28 +128,18 @@ class SubgraphMatcher:
             self._placed_before.append(
                 [w for w in self.pattern.neighbors(u) if w in placed])
             placed.add(u)
-        if kernel == "indexed":
-            c = target.compact()
-            self._c = c
-            self._node_ids = c.node_ids
-            self._offsets = c.offsets
-            self._csr_neighbors = c.neighbors
-            self._csr_edge_labels = c.edge_label_ids
-            self._ins_neighbors = c.ins_neighbors
-            self._pools: Dict[int, Tuple[int, ...]] = {}
-            self._pool_sets: Dict[int, FrozenSet[int]] = {}
-            self._build_pools()
-            self._build_edge_requirements()
-        else:
-            # candidate pools by label (wildcard -> all target nodes)
-            self._by_label: Dict[str, List[int]] = {}
-            for node in target.nodes():
-                self._by_label.setdefault(
-                    target.node_label(node), []).append(node)
+        c = target.compact()
+        self._c = c
+        self._node_ids = c.node_ids
+        self._offsets = c.offsets
+        self._csr_neighbors = c.neighbors
+        self._csr_edge_labels = c.edge_label_ids
+        self._ins_neighbors = c.ins_neighbors
+        self._pools: Dict[int, Tuple[int, ...]] = {}
+        self._pool_sets: Dict[int, FrozenSet[int]] = {}
+        self._build_pools()
+        self._build_edge_requirements()
 
-    # ------------------------------------------------------------------
-    # indexed kernel: per-pattern-node candidate pools
-    # ------------------------------------------------------------------
     def _build_pools(self) -> None:
         """Candidate pool per pattern node: label + degree + signature.
 
@@ -253,42 +211,8 @@ class SubgraphMatcher:
             self._edge_req[(a, b)] = req
             self._edge_req[(b, a)] = req
 
-    # ------------------------------------------------------------------
-    # legacy kernel helpers
-    # ------------------------------------------------------------------
-    def _candidates(self, u: int) -> List[int]:
-        label = self.pattern.node_label(u)
-        if label == WILDCARD:
-            return list(self.target.nodes())
-        return self._by_label.get(label, [])
-
     def _feasible(self, u: int, t: int, mapping: Dict[int, int],
                   used: Set[int], matched_nbrs: List[int]) -> bool:
-        _kernel_counters["feasibility_checks"] += 1
-        if t in used:
-            return False
-        if not labels_compatible(self.pattern.node_label(u),
-                                 self.target.node_label(t)):
-            return False
-        if self.target.degree(t) < self.pattern.degree(u):
-            return False
-        for w in matched_nbrs:
-            image = mapping[w]
-            if not self.target.has_edge(t, image):
-                return False
-            if not labels_compatible(self.pattern.edge_label(u, w),
-                                     self.target.edge_label(t, image)):
-                return False
-        if self.induced:
-            # matched non-neighbors of u must not be adjacent to t
-            for w, image in mapping.items():
-                if w not in matched_nbrs and not self.pattern.has_edge(u, w):
-                    if self.target.has_edge(t, image):
-                        return False
-        return True
-
-    def _feasible_indexed(self, u: int, t: int, mapping: Dict[int, int],
-                          used: Set[int], matched_nbrs: List[int]) -> bool:
         """Feasibility for pool members: labels/degree already hold.
 
         ``t`` and every mapped image are compact positions; adjacency
@@ -344,29 +268,17 @@ class SubgraphMatcher:
             return
         u = self._order[depth]
         matched_nbrs = self._placed_before[depth]
-        if self.kernel == "indexed":
-            pool, feasible = self._indexed_pool(u, mapping, matched_nbrs), \
-                self._feasible_indexed
-        elif matched_nbrs:
-            # intersect neighborhoods of already-placed images
-            anchor = mapping[matched_nbrs[0]]
-            pool, feasible = [t for t in self.target.neighbors(anchor)], \
-                self._feasible
-        else:
-            pool, feasible = self._candidates(u), self._feasible
-        for t in pool:
+        feasible = self._feasible
+        for t in self._pool(u, mapping, matched_nbrs):
             if not feasible(u, t, mapping, used, matched_nbrs):
                 continue
             mapping[u] = t
             used.add(t)
             if depth + 1 == len(self._order):
-                if self.kernel == "indexed":
-                    # mapping holds compact positions; embeddings are
-                    # reported in original node ids
-                    ids = self._node_ids
-                    yield {w: ids[p] for w, p in mapping.items()}
-                else:
-                    yield dict(mapping)
+                # mapping holds compact positions; embeddings are
+                # reported in original node ids
+                ids = self._node_ids
+                yield {w: ids[p] for w, p in mapping.items()}
                 if remaining[0] is not None:
                     remaining[0] -= 1
                     if remaining[0] <= 0:
@@ -378,8 +290,8 @@ class SubgraphMatcher:
             del mapping[u]
             used.discard(t)
 
-    def _indexed_pool(self, u: int, mapping: Dict[int, int],
-                      matched_nbrs: List[int]) -> List[int]:
+    def _pool(self, u: int, mapping: Dict[int, int],
+              matched_nbrs: List[int]) -> List[int]:
         """Candidates for ``u``: pool ∩ matched-image slices, in the
         first matched image's insertion order.
 
@@ -388,9 +300,9 @@ class SubgraphMatcher:
         choice deterministic) — the intersection with the pool set is
         smallest there.  *Ordering* anchors on the first matched
         neighbor's ``ins_neighbors`` run: that is exactly the
-        ``neighbors()`` sequence the legacy kernel walks, so the two
-        kernels yield embeddings in the same order — capped
-        enumerations (``max_embeddings``) depend on it.
+        ``neighbors()`` sequence the legacy kernel walks, so both
+        yield embeddings in the same order — capped enumerations
+        (``max_embeddings``) depend on it.
         """
         if not matched_nbrs:
             return list(self._pools[u])

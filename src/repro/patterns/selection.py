@@ -1,4 +1,4 @@
-"""Greedy pattern-set selection (lazy-greedy/CELF by default).
+"""Greedy pattern-set selection (lazy-greedy/CELF).
 
 Both CATAPULT (over candidates walked out of cluster summary graphs)
 and TATTOO (over candidates extracted from the truss decomposition)
@@ -8,33 +8,27 @@ Because the coverage term is monotone submodular, greedy achieves the
 constant-factor approximation (1/e for the regularised non-monotone
 objective) that TATTOO proves.
 
-The sweep runs in one of two modes, selected process-wide through the
-``REPRO_SELECT`` environment variable:
+The sweep combines incremental scoring with CELF lazy evaluation.
+The scorer keeps a running per-edge best-utility map,
+pairwise-similarity sum, and load sum, so one candidate evaluation
+costs O(|cover(c)| + k) instead of O(k·|cover| + k²); a max-heap of
+stale upper bounds then skips most evaluations outright.
 
-* ``lazy`` (default) — incremental scoring plus CELF lazy
-  evaluation.  The scorer keeps a running per-edge best-utility map,
-  pairwise-similarity sum, and load sum, so one candidate evaluation
-  costs O(|cover(c)| + k) instead of O(k·|cover| + k²); a max-heap of
-  stale upper bounds then skips most evaluations outright.
-* ``naive`` — the original quadratic sweep, kept as the oracle: every
-  round re-scores every candidate through :meth:`SetScorer.score`.
-
-Both modes produce **byte-identical** pattern sets, scores, and
-trajectories: every score either mode computes is built from the same
+The result is **byte-identical** to the quadratic sweep that re-scores
+every candidate every round through :meth:`SetScorer.score` (the
+oracle in ``tests/oracles.py``): every score is built from the same
 floating-point folds in the same order (DESIGN.md, "Selection"), and
-the lazy sweep's tie-breaking reproduces the naive sweep's
-first-max-in-admissible-order rule exactly.  ``bench_runner.py``
-gates the equivalence on every benchmark workload.
+the lazy sweep's tie-breaking reproduces the quadratic sweep's
+first-max-in-admissible-order rule exactly.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import BudgetError, OptionError, WorkerFailure
+from repro.errors import BudgetError, WorkerFailure
 from repro.obs import metrics, span
 from repro.resilience.chaos import site as chaos_site
 from repro.resilience.deadline import UNBOUNDED, Deadline
@@ -47,12 +41,6 @@ from repro.patterns.scoring import (
     cognitive_load,
     pattern_similarity,
 )
-
-#: Environment variable selecting the sweep implementation.
-SELECT_ENV = "REPRO_SELECT"
-
-#: Recognised ``REPRO_SELECT`` values.
-SELECT_MODES = ("lazy", "naive")
 
 #: Bound on the scorer's pairwise-similarity LRU cache (same
 #: discipline as :class:`repro.perf.cache.MatchCache`: least recently
@@ -69,15 +57,6 @@ DEADLINE_POLL_EVERY = 64
 #: Chaos-injection site armed per candidate evaluation (keyed by the
 #: candidate's canonical code, attempt = prior evaluations of it).
 SELECT_SITE = "patterns.select"
-
-
-def selection_mode() -> str:
-    """The sweep implementation chosen via ``REPRO_SELECT``."""
-    mode = os.environ.get(SELECT_ENV, "lazy").strip().lower()
-    if mode not in SELECT_MODES:
-        raise OptionError(
-            f"{SELECT_ENV} must be one of {SELECT_MODES}, got {mode!r}")
-    return mode
 
 
 class SetScorer:
@@ -347,7 +326,7 @@ class SelectionResult:
 
 
 class _Sweep:
-    """Mutable state one greedy sweep accumulates (either mode)."""
+    """Mutable state one greedy sweep accumulates."""
 
     __slots__ = ("selected", "chosen_codes", "trajectory", "current",
                  "evaluations", "faults", "complete", "saved",
@@ -391,53 +370,6 @@ class _Sweep:
         self.trajectory.append(score)
 
 
-def _naive_sweep(admissible: Sequence[Pattern], budget: PatternBudget,
-                 scorer: SetScorer, sweep: _Sweep, improve_only: bool,
-                 deadline: Deadline) -> None:
-    """The quadratic oracle sweep: full re-score of every candidate,
-    every round, through the stateless :meth:`SetScorer.score`."""
-    selected = sweep.selected
-    sweep.current = scorer.score(selected) if selected else 0.0
-    while len(selected) < budget.max_patterns:
-        if sweep.trajectory and deadline.check("patterns.greedy_select"):
-            sweep.complete = False
-            break
-        best: Optional[Pattern] = None
-        best_score = float("-inf")
-        expired = False
-        for candidate in admissible:
-            if candidate.code in sweep.chosen_codes:
-                continue
-            if sweep.mid_round_expired(deadline):
-                expired = True
-                break
-            try:
-                sweep.probe(candidate)
-                score = scorer.score(selected + [candidate])
-            except WorkerFailure:
-                sweep.fault()
-                continue
-            sweep.evaluations += 1
-            if score > best_score:
-                best_score = score
-                best = candidate
-        if expired:
-            # Mid-round expiry: abandon the partial round unless the
-            # sweep has selected nothing yet (the anytime contract
-            # promises at least one pattern when one scored).
-            sweep.complete = False
-            if (not selected and best is not None
-                    and not (improve_only
-                             and best_score <= sweep.current + 1e-12)):
-                sweep.take(best, best_score)
-            break
-        if best is None:
-            break
-        if improve_only and best_score <= sweep.current + 1e-12:
-            break
-        sweep.take(best, best_score)
-
-
 def _lazy_sweep(admissible: Sequence[Pattern], budget: PatternBudget,
                 scorer: SetScorer, sweep: _Sweep, improve_only: bool,
                 deadline: Deadline) -> None:
@@ -453,7 +385,7 @@ def _lazy_sweep(admissible: Sequence[Pattern], budget: PatternBudget,
     up through the same rounded operations the exact evaluation uses,
     so a bound is ``>=`` the exact score *bitwise*, and a fresh
     (evaluated this round) entry's key equals its exact score.  The
-    first fresh entry popped is therefore the naive sweep's winner:
+    first fresh entry popped is therefore the quadratic sweep's winner:
     every candidate with a higher exact score would have popped (and
     been evaluated) first, and ties resolve by admissible index —
     the first-max rule.  Non-submodular diversity/load weights (any
@@ -480,11 +412,12 @@ def _lazy_sweep(admissible: Sequence[Pattern], budget: PatternBudget,
         if candidate.code in sweep.chosen_codes:
             continue
         if sweep.mid_round_expired(deadline):
-            # Same contract as the naive sweep's mid-round expiry: the
-            # partial pass is abandoned, except that an empty sweep
-            # still takes the best candidate scored so far.  With no
-            # seeds the seeded bounds *are* the exact one-pattern
-            # scores (bitwise), so this picks the naive winner.
+            # Mid-round expiry: the partial pass is abandoned, except
+            # that an empty sweep still takes the best candidate
+            # scored so far (the anytime contract promises at least
+            # one pattern when one scored).  With no seeds the seeded
+            # bounds *are* the exact one-pattern scores (bitwise), so
+            # this picks the quadratic sweep's winner.
             sweep.complete = False
             if not selected:
                 best_i: Optional[int] = None
@@ -644,33 +577,26 @@ def greedy_select(candidates: Sequence[Pattern], budget: PatternBudget,
     errors.WorkerFailure` is dropped from that round and counted in
     ``faults`` instead of aborting the sweep.
 
-    The implementation is the lazy-greedy (CELF) sweep unless
-    ``REPRO_SELECT=naive`` selects the quadratic oracle; both return
-    byte-identical results (see the module docstring).
+    The sweep is lazy-greedy (CELF), byte-identical to the quadratic
+    sweep (see the module docstring).
     """
     admissible = [c for c in candidates if budget.admits(c.graph)]
     if workers is not None and resolve_workers(workers) > 1:
         scorer.index.add_patterns(admissible, workers=workers,
                                   deadline=deadline)
-    mode = selection_mode()
     with span("patterns.greedy_select",
-              candidates=len(admissible), mode=mode) as record:
+              candidates=len(admissible)) as record:
         selected: List[Pattern] = list(seed_patterns)
         if len(selected) > budget.max_patterns:
             raise BudgetError("seed patterns already exceed the budget")
         sweep = _Sweep(selected)
-        if mode == "naive":
-            _naive_sweep(admissible, budget, scorer, sweep,
-                         improve_only, deadline)
-        else:
-            _lazy_sweep(admissible, budget, scorer, sweep,
-                        improve_only, deadline)
+        _lazy_sweep(admissible, budget, scorer, sweep, improve_only,
+                    deadline)
         record.add("rounds", len(sweep.trajectory))
         record.add("evaluations", sweep.evaluations)
         record.add("selected", len(sweep.selected))
-        if mode == "lazy":
-            record.add("heap_peak", sweep.heap_peak)
-            record.add("evaluations_saved", sweep.saved)
+        record.add("heap_peak", sweep.heap_peak)
+        record.add("evaluations_saved", sweep.saved)
         if sweep.faults:
             record.add("faults", sweep.faults)
         if not sweep.complete:

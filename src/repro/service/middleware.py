@@ -69,6 +69,8 @@ class Request:
             seconds = float(raw) if raw is not None else None
         except ValueError:
             seconds = None
+        if seconds is not None and seconds < 0:
+            seconds = 0.0  # a negative budget is already spent
         self.deadline = Deadline.start(seconds)
         self.route = None
         self.params: Dict[str, str] = {}

@@ -4,8 +4,11 @@ Deliberately thin — the handler parses the request line, JSON-decodes
 the body, hands everything to :meth:`repro.service.app.
 PatternService.dispatch`, and writes the JSON response back.  All
 routing, policy, and error mapping happens in the middleware chain;
-the only errors handled here are transport-level (unreadable or
-non-JSON bodies → 400 with the standard error shape).
+the only errors handled here are transport-level (a bad
+``Content-Length`` or a non-JSON body → 400 with the standard error
+shape).  Those 400s close the connection: the unread or unparsed body
+bytes must never be taken for the next request on a keep-alive
+connection.
 """
 
 from __future__ import annotations
@@ -59,7 +62,9 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         try:
             body = self._read_body()
         except GraphInputError as error:
-            self._write(400, wire.error_body(error, 400))
+            # also sets close_connection (BaseHTTPRequestHandler)
+            self._write(400, wire.error_body(error, 400),
+                        {"Connection": "close"})
             return
         split = urlsplit(self.path)
         if body is None:
@@ -74,8 +79,17 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         self._write(response.status, response.body, response.headers)
 
     def _read_body(self) -> Optional[dict]:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0:
+        raw_length = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(raw_length)
+        except ValueError:
+            raise GraphInputError(
+                f"Content-Length {raw_length!r} is not an integer"
+            ) from None
+        if length < 0:
+            raise GraphInputError(
+                f"Content-Length {length} is negative")
+        if length == 0:
             return None
         if length > MAX_BODY_BYTES:
             raise GraphInputError(

@@ -6,7 +6,6 @@ from repro.truss.decomposition import (
     max_trussness,
     split_by_truss,
     truss_decomposition,
-    truss_decomposition_rescan,
     truss_statistics,
 )
 
@@ -16,6 +15,5 @@ __all__ = [
     "max_trussness",
     "split_by_truss",
     "truss_decomposition",
-    "truss_decomposition_rescan",
     "truss_statistics",
 ]

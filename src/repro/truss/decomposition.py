@@ -13,10 +13,8 @@ moves forward (supports are clamped at the current peel level, the
 standard bin-sort trick from core decomposition), and decremented
 edges are re-bucketed with stale entries skipped lazily.  The result
 is one pass over the edge set plus O(1) work per support decrement —
-no per-level rescans.  :func:`truss_decomposition_rescan` keeps the
-original peeler, which rescanned all remaining edges at every level
-(O(m) per level); it serves as the equivalence oracle in tests and
-the baseline in ``benchmarks/bench_kernel.py``.
+no per-level rescans of the remaining edges.  ``tests/oracles.py``
+keeps the O(m)-per-level rescan peeler as the equivalence oracle.
 """
 
 from __future__ import annotations
@@ -58,8 +56,7 @@ def truss_decomposition(graph: Graph) -> Dict[Tuple[int, int], int]:
     re-bucketed (clamped at the current level so the scan pointer
     never retreats), and stale bucket entries — left behind by
     decrements — are skipped when popped.  One pass over the edges
-    total, versus the per-level full rescans of
-    :func:`truss_decomposition_rescan`.
+    total, with no per-level full rescans.
     """
     support = edge_support(graph)
     if not support:
@@ -104,46 +101,6 @@ def truss_decomposition(graph: Graph) -> Dict[Tuple[int, int], int]:
                 buckets[new_support].append(other)
         adj[u].discard(v)
         adj[v].discard(u)
-    return trussness
-
-
-def truss_decomposition_rescan(graph: Graph) -> Dict[Tuple[int, int], int]:
-    """Trussness by the original per-level-rescan peeler.
-
-    Kept as the oracle :func:`truss_decomposition` is tested against:
-    at every level k it rescans all remaining edges for support
-    <= k - 2 (O(m) per level) and physically removes peeled edges
-    from a working copy.  Produces the same trussness map as the
-    bucketed peeler on every graph.
-    """
-    work = graph.copy()
-    support = edge_support(work)
-    trussness: Dict[Tuple[int, int], int] = {}
-    k = 2
-    # bucket-less peeling: repeatedly remove minimum-support edges
-    remaining = set(support)
-    while remaining:
-        # all edges with support <= k - 2 have trussness k
-        queue = [e for e in remaining if support[e] <= k - 2]
-        while queue:
-            u, v = queue.pop()
-            key = edge_key(u, v)
-            if key not in remaining:
-                continue
-            remaining.discard(key)
-            trussness[key] = k
-            # decrement support of triangle partners
-            small, big = (u, v) if work.degree(u) <= work.degree(v) \
-                else (v, u)
-            for w in work.neighbors(small):
-                if w != big and work.has_edge(w, big):
-                    for other in (edge_key(small, w), edge_key(big, w)):
-                        if other in remaining:
-                            support[other] -= 1
-                            if support[other] <= k - 2:
-                                queue.append(other)
-            work.remove_edge(u, v)
-        k += 1
     return trussness
 
 

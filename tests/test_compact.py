@@ -22,12 +22,12 @@ import random
 import pytest
 
 from repro.graph import CompactGraph, Graph, decode_graph
-from repro.graph.compact import legacy_pickle_payload
 from repro.matching.isomorphism import WILDCARD, SubgraphMatcher
 from repro.patterns.base import PatternBudget
 from repro.patterns.index import CoverageIndex
 from repro.perf import CacheDelta, MatchCache, cached_covered_edges
 from repro.tattoo.candidates import extract_chains
+from tests.oracles import LegacyMatcher, legacy_pickle_payload
 
 
 def random_graph(seed, nodes=24, extra_edges=28,
@@ -160,11 +160,11 @@ class TestKernelEquivalence:
     def embeddings(self, pattern, target, max_results=None,
                    induced=False):
         indexed = list(SubgraphMatcher(
-            pattern, target, induced=induced,
-            kernel="indexed").iter_embeddings(max_results=max_results))
-        legacy = list(SubgraphMatcher(
-            pattern, target, induced=induced,
-            kernel="legacy").iter_embeddings(max_results=max_results))
+            pattern, target,
+            induced=induced).iter_embeddings(max_results=max_results))
+        legacy = list(LegacyMatcher(
+            pattern, target,
+            induced=induced).iter_embeddings(max_results=max_results))
         return indexed, legacy
 
     def test_plain_patterns_agree(self):

@@ -1,13 +1,16 @@
 """Golden equivalence tests for the lazy-greedy (CELF) sweep.
 
-``REPRO_SELECT=lazy`` (the default) and ``REPRO_SELECT=naive`` (the
-quadratic oracle) must produce **byte-identical** selections — same
-pattern codes, bitwise-equal scores and trajectories, same
-``complete`` flag — on seeded random instances crossed with every
-sweep variation: ``improve_only``, seed patterns, persistent injected
-faults, and a pre-expired deadline.  A counter test then pins the
-point of the whole exercise: the lazy sweep performs strictly fewer
-candidate evaluations.
+The shipped lazy sweep and the quadratic oracle
+(:func:`tests.oracles.naive_sweep`, swapped in through
+:func:`tests.oracles.naive_selection`) must produce **byte-identical**
+selections — same pattern codes, bitwise-equal scores and
+trajectories, same ``complete`` flag — on seeded random instances
+crossed with every sweep variation: ``improve_only``, seed patterns,
+persistent injected faults, and a pre-expired deadline.  A counter
+test then pins the point of the whole exercise: the lazy sweep
+performs strictly fewer candidate evaluations.  :class:`PipelineOracles`
+repeats both oracle checks — kernel and sweep — end to end on the
+E2/E4-shaped CATAPULT and TATTOO workloads.
 
 The deadline instances keep the candidate count below
 ``DEADLINE_POLL_EVERY / 2`` so both sweeps finish their first round
@@ -20,14 +23,15 @@ while the naive sweep has already finished it.
 """
 
 import itertools
-import os
 import random
 import unittest
-from contextlib import contextmanager
+from contextlib import nullcontext
 
-from repro.datasets import generate_chemical_repository, \
-    sample_connected_subgraph
-from repro.obs import metrics
+from repro.core import pipeline
+from repro.core.pipeline import PipelineConfig
+from repro.datasets import NetworkConfig, generate_chemical_repository, \
+    generate_network, sample_connected_subgraph
+from repro.obs import matching_snapshot, metrics
 from repro.patterns import (
     CoverageIndex,
     Pattern,
@@ -36,13 +40,11 @@ from repro.patterns import (
     exhaustive_select,
     greedy_select,
 )
-from repro.patterns.selection import (
-    DEADLINE_POLL_EVERY,
-    SELECT_ENV,
-    SELECT_SITE,
-)
+from repro.patterns.selection import DEADLINE_POLL_EVERY, SELECT_SITE
+from repro.perf import clear_match_cache
 from repro.resilience import Deadline
 from repro.resilience.chaos import FaultPlan, FaultSpec, chaos
+from tests.oracles import legacy_kernel, naive_selection
 
 SEEDS = (0, 1, 2)
 BUDGET = PatternBudget(5, min_size=3, max_size=8)
@@ -66,23 +68,11 @@ def make_instance(seed, repo_size=18, n_candidates=10):
     return repo, candidates
 
 
-@contextmanager
-def select_mode(mode):
-    previous = os.environ.get(SELECT_ENV)
-    os.environ[SELECT_ENV] = mode
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop(SELECT_ENV, None)
-        else:
-            os.environ[SELECT_ENV] = previous
-
-
 def run_sweep(mode, repo, candidates, plan=None, **kwargs):
-    """One greedy sweep in ``mode`` against fresh index/scorer state."""
+    """One greedy sweep (``"lazy"``, or the ``"naive"`` oracle)
+    against fresh index/scorer state."""
     scorer = SetScorer(CoverageIndex(repo))
-    with select_mode(mode):
+    with naive_selection() if mode == "naive" else nullcontext():
         if plan is not None:
             with chaos(plan.fresh()):
                 return greedy_select(candidates, BUDGET, scorer,
@@ -176,6 +166,75 @@ class GoldenEquivalence(unittest.TestCase):
         self.assertEqual(lazy.evaluations + saved
                          - len(candidates),  # bound-seeding pass
                          naive.evaluations)
+
+
+class PipelineOracles(unittest.TestCase):
+    """Whole pipelines against both oracles, at the E2/E4 smoke sizes.
+
+    Under :func:`legacy_kernel` every matcher the pipelines build is
+    the legacy kernel: the selected pattern sets must be identical.
+    Under :func:`naive_selection` every sweep is the quadratic one:
+    the pattern sequences must be identical, in selection order.  The
+    deterministic work counts are pinned (the indexed kernel's as a
+    no-regression ceiling) and the lazy sweep must save >= 3x.
+    """
+
+    #: deterministic work counts per workload and implementation
+    INDEXED_CHECKS = {"catapult": 22187, "tattoo": 14017}
+    LEGACY_CHECKS = {"catapult": 55586, "tattoo": 237187}
+    LAZY_EVALUATIONS = {"catapult": 98, "tattoo": 138}
+    NAIVE_EVALUATIONS = {"catapult": 340, "tattoo": 625}
+    MIN_REDUCTION = 3
+
+    def run_workloads(self):
+        """workload -> (codes, feasibility checks, evaluations)."""
+        repo = generate_chemical_repository(30, seed=7)
+        network = generate_network(NetworkConfig(
+            nodes=150, cliques=4, petals=3, flowers=3), seed=2)
+        budget = PatternBudget(5, min_size=4, max_size=8)
+        runs = {
+            "catapult": lambda: pipeline.run_catapult(
+                repo, PipelineConfig(
+                    budget=budget, seed=1, workers=1,
+                    options={"walks_per_cluster": 10})),
+            "tattoo": lambda: pipeline.run_tattoo(
+                network, PipelineConfig(budget=budget, seed=1,
+                                        workers=1)),
+        }
+        counters = metrics.registry().counters
+        results = {}
+        for workload, run in sorted(runs.items()):
+            clear_match_cache()  # also zeroes the kernel counters
+            before = counters.get("patterns.greedy.evaluations", 0)
+            codes = run().patterns.codes()
+            results[workload] = (
+                codes, matching_snapshot()["feasibility_checks"],
+                counters.get("patterns.greedy.evaluations", 0) - before)
+        clear_match_cache()
+        return results
+
+    def test_pipelines_match_both_oracles(self):
+        shipped = self.run_workloads()
+        with legacy_kernel():
+            legacy = self.run_workloads()
+        with naive_selection():
+            naive = self.run_workloads()
+        for workload, (codes, checks, evaluations) in shipped.items():
+            with self.subTest(workload=workload):
+                self.assertEqual(sorted(legacy[workload][0]),
+                                 sorted(codes))
+                self.assertEqual(naive[workload][0], codes)
+                self.assertLessEqual(checks,
+                                     self.INDEXED_CHECKS[workload])
+                self.assertEqual(self.LEGACY_CHECKS[workload],
+                                 legacy[workload][1])
+                self.assertEqual(self.LAZY_EVALUATIONS[workload],
+                                 evaluations)
+                self.assertEqual(self.NAIVE_EVALUATIONS[workload],
+                                 naive[workload][2])
+                self.assertGreaterEqual(
+                    naive[workload][2],
+                    self.MIN_REDUCTION * evaluations)
 
 
 class IncrementalScorer(unittest.TestCase):

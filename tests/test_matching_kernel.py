@@ -2,9 +2,10 @@
 
 The indexed kernel (signature-filtered candidate pools, smallest-
 anchor intersection) must enumerate exactly the embedding set of the
-legacy kernel and of a brute-force permutation oracle, across
-monomorphism/induced semantics and wildcard node/edge labels — while
-doing measurably less feasibility work.
+legacy kernel (:class:`tests.oracles.LegacyMatcher`) and of a
+brute-force permutation oracle, across monomorphism/induced semantics
+and wildcard node/edge labels — while doing measurably less
+feasibility work.
 """
 
 import itertools
@@ -12,7 +13,13 @@ import random
 
 import pytest
 
+from repro.datasets import (
+    NetworkConfig,
+    generate_chemical_repository,
+    generate_network,
+)
 from repro.graph import Graph, build_graph, complete_graph, gnm_random_graph
+from repro.graph.operations import induced_subgraph, sample_connected_node_set
 from repro.matching import (
     WILDCARD,
     SubgraphMatcher,
@@ -21,6 +28,10 @@ from repro.matching import (
     reset_kernel_stats,
 )
 from repro.obs import matching_snapshot
+from tests.oracles import LegacyMatcher
+
+#: The oracle first, then the shipped kernel.
+MATCHERS = (LegacyMatcher, SubgraphMatcher)
 
 KERNEL_COUNTERS = ("feasibility_checks", "recursive_calls",
                    "candidates_pruned")
@@ -37,9 +48,8 @@ def embeddings_as_keys(matcher, max_results=None):
             for m in matcher.iter_embeddings(max_results=max_results)}
 
 
-def kernel_embeddings(pattern, target, induced, kernel):
-    return embeddings_as_keys(
-        SubgraphMatcher(pattern, target, induced=induced, kernel=kernel))
+def kernel_embeddings(pattern, target, induced, matcher):
+    return embeddings_as_keys(matcher(pattern, target, induced=induced))
 
 
 def brute_force_embeddings(pattern, target, induced=False):
@@ -84,6 +94,55 @@ def random_case(seed, wildcards=False):
     return pattern, target
 
 
+#: Feasibility checks the 9-case smoke suite costs the legacy kernel
+#: (exact) and the indexed kernel (ceiling: any increase is a pruning
+#: regression — the suite is deterministic).
+SMOKE_LEGACY_CHECKS = 2046
+SMOKE_INDEXED_CHECKS = 523
+MIN_REDUCTION = 3
+
+
+def extract_pattern(target, size, rng):
+    """Connected induced subgraph of ``target``, renumbered 0..n-1."""
+    if target.order() < size:
+        return None
+    nodes = sample_connected_node_set(target, size, rng)
+    if nodes is None:
+        return None
+    return induced_subgraph(target, nodes).normalized()
+
+
+def smoke_cases():
+    """(name, pattern, target, induced) over chemical molecules, a
+    synthetic network, random labeled graphs, induced semantics and
+    wildcard node/edge labels."""
+    cases = []
+    rng = random.Random(17)
+    for i, target in enumerate(generate_chemical_repository(8, seed=11)[:3]):
+        pattern = extract_pattern(target, min(5, target.order()), rng)
+        if pattern is not None:
+            cases.append((f"chem{i}", pattern, target, False))
+    network = generate_network(
+        NetworkConfig(nodes=100, cliques=3, petals=2, flowers=2), seed=5)
+    for j in range(2):
+        pattern = extract_pattern(network, 4, rng)
+        if pattern is not None:
+            cases.append((f"net{j}", pattern, network, False))
+    for s in range(3):
+        r = random.Random(100 + s)
+        target = gnm_random_graph(18, 40, r, labels=["A", "B", "C"])
+        pattern = gnm_random_graph(4, 4, r, labels=["A", "B", "C"])
+        cases.append((f"rand{s}", pattern, target, s % 2 == 1))
+        if s == 0:
+            # wildcard variant: one wildcard node, one wildcard edge
+            wild = pattern.copy()
+            wild.set_node_label(next(iter(wild.nodes())), WILDCARD)
+            wild.set_edge_label(*next(iter(wild.edges())),
+                                label=WILDCARD)
+            cases.append((f"wild{s}", wild, target, False))
+    return cases
+
+
 class TestKernelEquivalence:
     @pytest.mark.parametrize("induced", [False, True])
     @pytest.mark.parametrize("seed", range(8))
@@ -91,9 +150,9 @@ class TestKernelEquivalence:
         """Both kernels == permutation oracle on graphs <= 6 nodes."""
         pattern, target = random_case(seed)
         oracle = brute_force_embeddings(pattern, target, induced=induced)
-        for kernel in ("legacy", "indexed"):
+        for matcher in MATCHERS:
             assert kernel_embeddings(pattern, target, induced,
-                                     kernel) == oracle
+                                     matcher) == oracle
 
     @pytest.mark.parametrize("induced", [False, True])
     @pytest.mark.parametrize("seed", range(8))
@@ -101,9 +160,9 @@ class TestKernelEquivalence:
         """Wildcard node and edge labels: kernels == oracle."""
         pattern, target = random_case(seed, wildcards=True)
         oracle = brute_force_embeddings(pattern, target, induced=induced)
-        for kernel in ("legacy", "indexed"):
+        for matcher in MATCHERS:
             assert kernel_embeddings(pattern, target, induced,
-                                     kernel) == oracle
+                                     matcher) == oracle
 
     @pytest.mark.parametrize("seed", range(4))
     def test_larger_random_graphs_agree_across_kernels(self, seed):
@@ -111,9 +170,10 @@ class TestKernelEquivalence:
         target = gnm_random_graph(20, 50, rng, labels=["A", "B", "C"])
         pattern = gnm_random_graph(4, 4, rng, labels=["A", "B", "C"])
         for induced in (False, True):
-            assert (kernel_embeddings(pattern, target, induced, "legacy")
+            assert (kernel_embeddings(pattern, target, induced,
+                                      LegacyMatcher)
                     == kernel_embeddings(pattern, target, induced,
-                                         "indexed"))
+                                         SubgraphMatcher))
 
     def test_disconnected_pattern(self):
         pattern = build_graph([(0, "A"), (1, "A"), (2, "B")],
@@ -121,21 +181,17 @@ class TestKernelEquivalence:
         target = gnm_random_graph(7, 9, random.Random(5),
                                   labels=["A", "B"])
         oracle = brute_force_embeddings(pattern, target)
-        for kernel in ("legacy", "indexed"):
+        for matcher in MATCHERS:
             assert kernel_embeddings(pattern, target, False,
-                                     kernel) == oracle
+                                     matcher) == oracle
 
     def test_empty_pattern_and_oversized_pattern(self):
         target = complete_graph(3, label="A")
-        for kernel in ("legacy", "indexed"):
+        for matcher in MATCHERS:
             assert kernel_embeddings(Graph(), target, False,
-                                     kernel) == {()}
+                                     matcher) == {()}
             assert kernel_embeddings(complete_graph(5, label="A"),
-                                     target, False, kernel) == set()
-
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValueError):
-            SubgraphMatcher(Graph(), Graph(), kernel="quantum")
+                                     target, False, matcher) == set()
 
 
 class TestCandidatePools:
@@ -173,12 +229,32 @@ class TestKernelCounters:
         target = gnm_random_graph(40, 120, rng, labels=["A", "B", "C"])
         pattern = gnm_random_graph(5, 6, rng, labels=["A", "B", "C"])
         checks = {}
-        for kernel in ("legacy", "indexed"):
+        for matcher in MATCHERS:
             reset_kernel_stats()
-            matcher = SubgraphMatcher(pattern, target, kernel=kernel)
-            list(matcher.iter_embeddings(max_results=None))
-            checks[kernel] = kernel_counters()["feasibility_checks"]
-        assert checks["indexed"] < checks["legacy"]
+            list(matcher(pattern, target).iter_embeddings(
+                max_results=None))
+            checks[matcher] = kernel_counters()["feasibility_checks"]
+        assert checks[SubgraphMatcher] < checks[LegacyMatcher]
+
+    def test_smoke_suite_pruning(self):
+        """Identical embedding sets on the 9-case micro-suite, with the
+        legacy kernel's exact feasibility work and the indexed
+        kernel's no-regression ceiling and >= 3x reduction."""
+        checks = {matcher: 0 for matcher in MATCHERS}
+        for name, pattern, target, induced in smoke_cases():
+            found = {}
+            for matcher in MATCHERS:
+                reset_kernel_stats()
+                found[matcher] = sorted(
+                    tuple(sorted(m.items())) for m in matcher(
+                        pattern, target, induced=induced
+                    ).iter_embeddings(max_results=None))
+                checks[matcher] += kernel_counters()["feasibility_checks"]
+            assert found[SubgraphMatcher] == found[LegacyMatcher], name
+        assert checks[LegacyMatcher] == SMOKE_LEGACY_CHECKS
+        assert checks[SubgraphMatcher] <= SMOKE_INDEXED_CHECKS
+        assert (checks[LegacyMatcher]
+                >= MIN_REDUCTION * checks[SubgraphMatcher])
 
     def test_counters_reset_and_accumulate(self):
         reset_kernel_stats()

@@ -18,7 +18,9 @@ The headline suites pin the service's concurrency contract:
   response.
 """
 
+import json
 import os
+import socket
 import sys
 import threading
 from pathlib import Path
@@ -54,6 +56,7 @@ from repro.service import (  # noqa: E402
     strip_volatile,
 )
 from repro.service import wire  # noqa: E402
+from repro.service.server import MAX_BODY_BYTES  # noqa: E402
 
 BUDGET = PatternBudget(4, min_size=4, max_size=7)
 
@@ -310,14 +313,15 @@ class TestPolicy:
 
     def test_expired_deadline_sheds_with_completion_report(
             self, service):
-        shed = service.dispatch("POST", "/v1/build", {},
-                                headers={"X-Repro-Deadline": "0"})
-        assert shed.status == 503
-        error = shed.body["error"]
-        assert error["type"] == "Overloaded"
-        completion = error["completion"]
-        assert completion["build"]["complete"] is False
-        assert completion["build"]["done"] == 0
+        for budget in ("0", "-1"):  # a negative budget is spent too
+            shed = service.dispatch("POST", "/v1/build", {},
+                                    headers={"X-Repro-Deadline": budget})
+            assert shed.status == 503
+            error = shed.body["error"]
+            assert error["type"] == "Overloaded"
+            completion = error["completion"]
+            assert completion["build"]["complete"] is False
+            assert completion["build"]["done"] == 0
 
     def test_full_build_slots_shed_with_503(self, service):
         assert service.heavy_slots.acquire(blocking=False)
@@ -333,9 +337,11 @@ class TestPolicy:
     def test_light_routes_are_never_shed(self, service):
         assert service.heavy_slots.acquire(blocking=False)
         try:
-            assert service.dispatch("GET", "/v1/health").status == 200
-            assert service.dispatch("GET",
-                                    "/v1/patterns").status == 200
+            for headers in ({}, {"X-Repro-Deadline": "-1"}):
+                assert service.dispatch(
+                    "GET", "/v1/health", headers=headers).status == 200
+                assert service.dispatch(
+                    "GET", "/v1/patterns", headers=headers).status == 200
         finally:
             service.heavy_slots.release()
 
@@ -509,6 +515,50 @@ class TestHTTPRoundTrip:
             server.shutdown()
             server.server_close()
             svc.close()
+
+    def raw_exchange(self, request: bytes) -> bytes:
+        """Send raw bytes on one connection; read until the server
+        closes it (a kept-alive connection times out the read)."""
+        svc = make_service(size=8)
+        server, _thread = serve_in_thread(svc)
+        try:
+            with socket.create_connection(server.server_address[:2],
+                                          timeout=5) as sock:
+                sock.sendall(request)
+                reply = b""
+                while True:
+                    try:
+                        chunk = sock.recv(65536)
+                    except ConnectionResetError:
+                        # closing with unread request bytes may reset
+                        return reply
+                    if not chunk:
+                        return reply
+                    reply += chunk
+        finally:
+            server.shutdown()
+            server.server_close()
+            svc.close()
+
+    def test_oversized_body_400_closes_the_connection(self):
+        smuggled = b"GET /v1/health HTTP/1.1\r\nHost: t\r\n\r\n"
+        reply = self.raw_exchange(
+            b"POST /v1/query HTTP/1.1\r\nHost: t\r\n"
+            + f"Content-Length: {MAX_BODY_BYTES + 1}".encode()
+            + b"\r\n\r\n" + smuggled)
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert reply.count(b"HTTP/1.1 ") == 1  # the body was not served
+        assert b"\r\nConnection: close\r\n" in reply
+
+    @pytest.mark.parametrize("length", [b"twelve", b"-5"])
+    def test_malformed_content_length_is_a_400(self, length):
+        reply = self.raw_exchange(
+            b"POST /v1/query HTTP/1.1\r\nHost: t\r\n"
+            b"Content-Length: " + length + b"\r\n\r\n{}")
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"\r\nConnection: close\r\n" in head + b"\r\n"
+        assert json.loads(body)["error"]["type"] == "GraphInputError"
 
     def test_concurrent_http_clients(self):
         svc = make_service(size=8)

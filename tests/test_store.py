@@ -292,6 +292,20 @@ class TestSegments(unittest.TestCase):
     def seal(self, store):
         return [dict(entry) for entry in store.entries]
 
+    def test_clean_reopen_loads_byte_identical_records(self):
+        graphs = sample_graphs()
+        store = SegmentStore(self.root)
+        self.assertEqual(len(graphs), store.append(graphs))
+        sealed = self.seal(store)
+        store.close()
+        loaded, quarantined, repaired = SegmentStore(self.root).load(
+            sealed)
+        self.assertEqual([], quarantined)
+        self.assertEqual([], repaired)
+        self.assertEqual(
+            sorted(encode_graph_record(g) for g in graphs),
+            sorted(encode_graph_record(g) for g in loaded.values()))
+
     def test_append_dedupes_identical_records(self):
         store = SegmentStore(self.root)
         graphs = list(make_repo(4))
@@ -374,6 +388,34 @@ class TestManifest(unittest.TestCase):
             handle.write(b"\x00garbage")
         with self.assertRaises(StoreCorruptionError):
             load_manifest(self.path)
+
+
+# -------------------------------------------------------- disk backend
+
+
+class TestDiskBackend(unittest.TestCase):
+    def test_commit_then_load_is_bitwise(self):
+        graphs = list(make_repo(12))
+        patterns = PatternSet(Pattern(g, source="store-test")
+                              for g in graphs[:4])
+        with tempfile.TemporaryDirectory() as root:
+            backend = DiskBackend(root)
+            backend.commit(graphs, None, patterns, "catapult",
+                           wal_seq=0)
+            backend.close()
+            reopened = DiskBackend(root)
+            state = reopened.load()
+            reopened.close()
+        self.assertEqual([encode_graph_record(g) for g in graphs],
+                         [encode_graph_record(g)
+                          for g in state.repository])
+        self.assertEqual(encode_pattern_blob(patterns),
+                         encode_pattern_blob(state.patterns))
+        report = state.report
+        self.assertFalse(report.degraded)
+        self.assertEqual([], report.repaired_segments)
+        self.assertEqual(0, report.pending_batches)
+        self.assertEqual(0, report.truncated_wal_bytes)
 
 
 # ---------------------------------------------------- service recovery

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.datasets import NetworkConfig, generate_network
 from repro.graph import (
     complete_graph,
     cycle_graph,
@@ -17,9 +18,9 @@ from repro.truss import (
     max_trussness,
     split_by_truss,
     truss_decomposition,
-    truss_decomposition_rescan,
     truss_statistics,
 )
+from tests.oracles import truss_decomposition_rescan
 
 
 class TestSupport:
@@ -131,6 +132,22 @@ class TestBucketQueueAgainstRescan:
             g.add_edge(u, 4)
             g.add_edge(u, 5)
         g.add_edge(4, 5)
+        assert truss_decomposition(g) == truss_decomposition_rescan(g)
+
+    #: larger inputs: a TATTOO-style network, a planted partition, a
+    #: dense random graph
+    SMOKE_GRAPHS = {
+        "network": lambda: generate_network(
+            NetworkConfig(nodes=150, cliques=4, petals=3, flowers=3),
+            seed=2),
+        "planted": lambda: planted_partition_graph(
+            3, 12, 0.6, 0.03, random.Random(3)),
+        "random": lambda: gnm_random_graph(40, 120, random.Random(9)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SMOKE_GRAPHS))
+    def test_smoke_graphs(self, name):
+        g = self.SMOKE_GRAPHS[name]()
         assert truss_decomposition(g) == truss_decomposition_rescan(g)
 
     def test_empty_and_edgeless(self):

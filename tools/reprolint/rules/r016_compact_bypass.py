@@ -13,8 +13,8 @@ compact core was introduced to eliminate.  Scoped like R008 to files
 under a ``matching`` or ``truss`` package directory, and per function:
 only graphs whose ``.compact()`` is taken inside the function are
 constrained, so pattern-side ``neighbors()`` iteration next to a
-target-side compact view stays allowed, as do the legacy kernel and
-the rescan oracle (which never take a compact view).
+target-side compact view stays allowed, as do dict-path functions
+that never take a compact view.
 """
 
 from __future__ import annotations

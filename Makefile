@@ -38,12 +38,17 @@ trace-smoke:
 
 # deterministic fault-injection suite at two worker counts: the same
 # seeded fault plan must produce the same recovery serially and in a
-# process pool (DESIGN.md, "Resilience")
+# process pool (DESIGN.md, "Resilience"); the 4-worker leg also runs
+# the pmap, cache, trace and pipeline suites through the pool
+POOL_SMOKE_TESTS = tests/test_resilience.py tests/test_perf.py \
+	tests/test_compact.py tests/test_obs.py tests/test_catapult.py \
+	tests/test_tattoo.py tests/test_midas.py tests/test_pipeline_api.py
+
 chaos-smoke:
 	REPRO_WORKERS=1 PYTHONPATH=src $(PYTHON) -m pytest -x -q \
 		tests/test_resilience.py
 	REPRO_WORKERS=4 PYTHONPATH=src $(PYTHON) -m pytest -x -q \
-		tests/test_resilience.py
+		$(POOL_SMOKE_TESTS)
 
 # selection scale-tier ladder (1k/10k/50k-graph repositories,
 # 10k/100k-node networks): lazy-vs-naive byte identity, >=10x

@@ -13,20 +13,23 @@ auditable in one place:
   in-process map whenever it is unavailable.
 * :class:`MatchCache` — a bounded LRU cache for subgraph-matching
   results, keyed by ``(pattern canonical code, graph fingerprint)``,
-  with hit/miss/eviction counters.  It is *mergeable* across the
-  process boundary: ``pmap(..., cache_merge=cache)`` has workers
-  record per-item :class:`CacheDelta` access logs (shipped back next
-  to trace captures), seeds each worker with the cache's hottest
-  entries, and replays the deltas into ``cache`` in input order — so
-  hit/miss counters are identical at every worker count and warm
-  engine-lifetime caches stay warm inside the pool.
+  with hit/miss/eviction counters.  ``pmap(..., cache_merge=cache)``
+  runs in-process items straight against ``cache`` (a context-local
+  binding read by :func:`get_match_cache`), and makes it *mergeable*
+  across the process boundary: pool workers are seeded with its
+  hottest entries and record each item's accesses into a
+  :class:`CacheDelta` (shipped back next to the trace capture) that
+  is replayed into ``cache`` in input order — so hit/miss counters
+  are identical at every worker count and warm engine-lifetime
+  caches stay warm inside the pool.
 
 Fault tolerance (``max_retries``/``on_item_failure``/
 ``item_timeout_s`` on :func:`pmap`) keeps those contracts under
 partial failure: a failing item retries with deterministic backoff
-(:func:`backoff_s`), escalates to one in-process re-run, and — policy
-permitting — is skipped with an :class:`ItemFailure` record occupying
-its result slot, so input order survives even when items do not.
+(:func:`backoff_s`), gets one in-process re-run, and then either
+raises its own exception or — policy ``"skip"`` — is skipped with an
+:class:`ItemFailure` record occupying its result slot, so input order
+survives even when items do not.
 
 Observability moved to :mod:`repro.obs`: ``pmap`` reports dispatch
 counters to its metrics registry and ships per-item trace subtrees
@@ -48,12 +51,10 @@ from repro.perf.cache import (
     get_match_cache,
     graph_fingerprint,
     reset_vf2_calls,
-    swap_match_cache,
     vf2_calls,
 )
 from repro.matching.isomorphism import reset_kernel_stats
 from repro.perf.executor import (
-    DEFAULT_CACHE_SEED_LIMIT,
     FAILURE_POLICIES,
     ItemFailure,
     backoff_s,
@@ -65,7 +66,6 @@ from repro.perf.executor import (
 
 __all__ = [
     "CacheDelta",
-    "DEFAULT_CACHE_SEED_LIMIT",
     "FAILURE_POLICIES",
     "ItemFailure",
     "MatchCache",
@@ -82,6 +82,5 @@ __all__ = [
     "reset_kernel_stats",
     "reset_vf2_calls",
     "resolve_workers",
-    "swap_match_cache",
     "vf2_calls",
 ]

@@ -42,9 +42,13 @@ logical access, one log entry, whatever the recording cache already
 contained.  Keep it that way when adding helpers.
 
 :func:`repro.perf.pmap` drives both ends (``cache_merge=``): workers
-record per item, ship deltas next to their trace captures, and are
-seeded at startup with :meth:`MatchCache.hot_entries` so
-engine-lifetime caches (MIDAS) keep paying off inside the pool.
+are seeded at startup with :meth:`MatchCache.hot_entries` (so
+engine-lifetime caches such as MIDAS's keep paying off inside the
+pool), record one delta per item and ship it next to the item's
+trace capture.  Items ``pmap`` runs in-process need no protocol at
+all: while one runs, :func:`get_match_cache` returns the caller's
+``cache_merge`` in that context (a :mod:`contextvars` binding, so
+other threads never see it) and the accesses count directly.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ from __future__ import annotations
 import hashlib
 from collections import OrderedDict
 from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 from weakref import WeakKeyDictionary
 
@@ -291,25 +296,29 @@ class MatchCache:
 
 _global_cache = MatchCache()
 
+#: The caller's ``cache_merge`` while :func:`repro.perf.pmap` runs an
+#: item in-process; context-local, so no other thread ever sees it.
+_bound_cache: "ContextVar[Optional[MatchCache]]" = ContextVar(
+    "repro_bound_match_cache", default=None)
+
 
 def get_match_cache() -> MatchCache:
-    """The process-global cache most call sites share."""
-    return _global_cache
+    """The cache call sites share: the process-global one, or the
+    caller's ``cache_merge`` while :func:`repro.perf.pmap` runs an
+    item in-process in this context."""
+    bound = _bound_cache.get()
+    return _global_cache if bound is None else bound
 
 
-def swap_match_cache(cache: MatchCache) -> MatchCache:
-    """Install ``cache`` as the process-global cache; return the old.
-
-    The serial leg of ``pmap``'s merge mode uses this to run items
-    against a scratch cache (seeded like a pool worker would be) so
-    that ``workers=1`` goes through the exact record-and-replay path
-    a pool run does — the counters end up identical by construction.
-    Always restore the previous cache in a ``finally``.
-    """
-    global _global_cache
-    previous = _global_cache
-    _global_cache = cache
-    return previous
+@contextmanager
+def _bind_match_cache(cache: Optional[MatchCache]) -> Iterator[None]:
+    """Make :func:`get_match_cache` return ``cache`` in this context
+    for the duration of the block (``None`` leaves it unchanged)."""
+    token = _bound_cache.set(get_match_cache() if cache is None else cache)
+    try:
+        yield
+    finally:
+        _bound_cache.reset(token)
 
 
 def clear_match_cache() -> None:
@@ -387,7 +396,7 @@ def cached_canonical_code(graph: Graph,
     the cache.
     """
     if cache is None:
-        cache = _global_cache
+        cache = get_match_cache()
     key = ("canon", graph_fingerprint(graph))
     found, value = cache.lookup(key)
     if found:

@@ -4,8 +4,7 @@
 are created.  Its contract is that parallel execution is
 *observationally identical* to serial execution:
 
-* results are returned in input order regardless of completion order
-  (``ProcessPoolExecutor.map`` already guarantees this);
+* results are returned in input order regardless of completion order;
 * randomized work items must not share an RNG — callers split one
   seed per item from a root seed with :func:`derive_seed`, which is a
   pure SHA-256 derivation and therefore identical in every process,
@@ -17,22 +16,26 @@ are created.  Its contract is that parallel execution is
 Worker functions must be module-level (picklable) and pure: they
 receive one picklable item and return one picklable result.
 
-When :mod:`repro.obs` tracing is enabled, every item runs under a
-``pmap.item`` span.  In parallel runs the span tree a worker records
-for its item is shipped back with the result (span records are plain
-picklable dicts) and re-attached in input order, so the merged trace
-is identical to the serial one up to wall-clock fields.
+Every item runs through one attempt runner, in one of two legs.  In
+the *pool* leg each item is one future; its trace subtree and every
+match-cache access of all its attempts (one :class:`repro.perf.cache.
+CacheDelta`) ship back with the result, and the coordinator re-attaches
+and replays them in input order.  In the *in-process* leg spans attach
+in place and cache accesses go straight to the caller's
+``cache_merge``, which :func:`repro.perf.cache.get_match_cache`
+returns while the call runs, in the calling context only — nothing
+rebinds the process-global cache.  Either way the merged trace is
+identical to a serial one up to wall-clock fields, and the cache
+counters are identical at every worker count.
 
-Fault tolerance is opt-in per call (``max_retries`` /
-``on_item_failure`` / ``item_timeout_s``).  A failing item climbs a
-deterministic ladder — in-place retries with seeded exponential
-backoff, one serial re-run in the coordinator, then (policy
-permitting) skip-with-record: the item's slot in the result list
-holds an :class:`ItemFailure` so input-order determinism survives
-partial failure, and per-item trace records are still shipped back
-and re-attached.  Attempt numbering is global across the ladder
-(worker attempts ``0..max_retries``, serial re-run
-``max_retries+1``), so an item's fate under a :mod:`repro.
+A failing item climbs one deterministic ladder at every worker count:
+attempts ``0..max_retries`` run where the item runs, with seeded
+exponential backoff between them; then one in-process re-run at
+attempt ``max_retries+1``.  If that fails too, policy ``"raise"``
+propagates the re-run's own exception and policy ``"skip"`` puts an
+:class:`ItemFailure` in the item's result slot, so input-order
+determinism survives partial failure.  Because attempt numbering is
+global across the ladder, an item's fate under a :mod:`repro.
 resilience.chaos` fault plan is identical at every worker count.
 """
 
@@ -44,6 +47,7 @@ import os
 import pickle
 import time
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import nullcontext
 from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.errors import OptionError, WorkerFailure
@@ -51,13 +55,12 @@ from repro.obs.metrics import inc as _metric_inc
 from repro.perf.cache import (
     CacheDelta,
     MatchCache,
+    _bind_match_cache,
     get_match_cache,
-    swap_match_cache,
 )
 from repro.obs.tracing import SpanRecord, attach_record, capture, span, \
     tracing_enabled
 from repro.resilience.chaos import (
-    CORRUPTED as _CORRUPTED,
     FaultPlan as _FaultPlan,
     active_plan as _active_plan,
     install as _install_plan,
@@ -68,11 +71,10 @@ from repro.resilience.chaos import (
 T = TypeVar("T")
 R = TypeVar("R")
 
-#: Failure policies, in escalation order: ``raise`` propagates after
-#: the ladder is exhausted, ``serial`` expects the in-process re-run
-#: to succeed (and raises if it does not), ``skip`` records the item
+#: Failure policies: ``raise`` propagates the failing item's own
+#: exception once the ladder is exhausted, ``skip`` records the item
 #: as an :class:`ItemFailure` in its result slot and moves on.
-FAILURE_POLICIES = ("raise", "serial", "skip")
+FAILURE_POLICIES = ("raise", "skip")
 
 #: Environment variable consulted when ``workers`` is not given.
 WORKERS_ENV = "REPRO_WORKERS"
@@ -82,13 +84,24 @@ WORKERS_ENV = "REPRO_WORKERS"
 #: risk on constrained machines).
 _IN_WORKER_ENV = "_REPRO_PMAP_WORKER"
 
-#: Pool-infrastructure failures that trigger the serial fallback.
+#: Pool-infrastructure failures that trigger the in-process fallback.
 #: AttributeError is how CPython's multiprocessing reducer reports an
 #: unpicklable closure/lambda.  Exceptions raised *by the mapped
-#: function* are not in this set conceptually, but re-running serially
-#: re-raises them unchanged, so the fallback is still faithful.
+#: function* never reach the coordinator this way: the worker's
+#: attempt runner catches them.
 _POOL_ERRORS = (OSError, ImportError, AttributeError, BrokenProcessPool,
                 pickle.PicklingError, TypeError)
+
+#: Backoff scale between in-place retries (see :func:`backoff_s`).
+_RETRY_BASE_S = 0.001
+
+#: Bound on the hot-entry snapshot pool workers are seeded with in
+#: cache-merge mode.
+_CACHE_SEED_LIMIT = 512
+
+#: ``(status, attempts_used, value, trace_record, cache_delta)``.
+_Outcome = Tuple[str, int, object, Optional[SpanRecord],
+                 Optional[CacheDelta]]
 
 
 def resolve_workers(workers: Optional[int] = None) -> int:
@@ -122,11 +135,6 @@ def derive_seed(root_seed: int, index: int) -> int:
 def derive_seeds(root_seed: int, count: int) -> List[int]:
     """``count`` independent seeds split from ``root_seed``."""
     return [derive_seed(root_seed, index) for index in range(count)]
-
-
-#: Default bound on the hot-entry snapshot pool workers are seeded
-#: with in cache-merge mode (most-recently-used entries first to go).
-DEFAULT_CACHE_SEED_LIMIT = 512
 
 
 def _mark_worker(seed_pairs=None) -> None:
@@ -184,8 +192,8 @@ def failure_policy(max_retries: int = 0,
 
     ``"skip"`` (degrade and record) whenever the run opted into
     resilience — retries, a wall-clock budget, or an installed chaos
-    plan — and ``"raise"`` otherwise, which keeps fault-free runs on
-    :func:`pmap`'s chunked fast path.
+    plan — and ``"raise"`` otherwise, so a fault-free run surfaces a
+    failing item's own exception instead of a degraded result.
     """
     if (max_retries > 0 or deadline_s is not None
             or _active_plan() is not None):
@@ -194,322 +202,143 @@ def failure_policy(max_retries: int = 0,
 
 
 def _run_attempts(fn: Callable, index: int, item: object,
-                  first_attempt: int, attempts: int, base_s: float,
-                  seed: int, site_name: str,
-                  plan: Optional[_FaultPlan], traced: bool,
-                  ship_record: bool,
-                  merge: bool = False) -> Tuple[str, int, object,
-                                                Optional[SpanRecord],
-                                                Optional[CacheDelta]]:
+                  first_attempt: int, attempts: int, seed: int,
+                  site_name: str, plan: Optional[_FaultPlan],
+                  ship_record: bool = False, reraise: bool = False
+                  ) -> Tuple[str, int, object, Optional[SpanRecord]]:
     """Run one item for up to ``attempts`` attempts, numbered from
     ``first_attempt``.  Returns ``(status, attempts_used, value,
-    record, cache_delta)`` where status is ``"ok"`` or ``"fail"`` and
-    value is the result or the failure text.
+    record)`` where status is ``"ok"`` or ``"fail"`` and value is the
+    result or the failure text; with ``reraise`` the last attempt's
+    exception propagates instead.
 
     Each call installs a fresh zero-counter copy of the fault plan,
     so chaos decisions depend only on (key, attempt, within-item call
     count) — never on which process ran the item.  With
     ``ship_record`` the item's trace subtree is captured and returned
-    for the coordinator to re-attach (pool workers); otherwise a
-    plain span attaches into the open trace in place (serial runs).
-    In cache-merge mode each attempt records its cache accesses; only
-    the successful attempt's delta is shipped (a failed attempt's
-    accesses are as if they never happened, like its result).
+    for the coordinator to re-attach (pool workers of a traced call);
+    otherwise a plain span attaches into the open trace in place.
     """
     previous = _install_plan(plan.fresh()) if plan is not None else None
-    scope = None
-    if traced:
-        scope = (capture("pmap.item", force=True, index=index)
-                 if ship_record else span("pmap.item", index=index))
-        scope.__enter__()
-    status, used, value = "fail", 0, "no attempts made"
-    delta: Optional[CacheDelta] = None
+    scope = (capture("pmap.item", force=True, index=index) if ship_record
+             else span("pmap.item", index=index))
+    status, used, value = "fail", 0, None
     try:
-        for offset in range(attempts):
-            attempt = first_attempt + offset
-            used = offset + 1
-            try:
-                corrupt = _chaos_site(site_name, key=index,
-                                      attempt=attempt)
-                if merge:
-                    attempt_delta = CacheDelta()
-                    with get_match_cache().recording(attempt_delta):
-                        result = fn(item)
-                else:
-                    attempt_delta = None
+        with scope:
+            for offset in range(attempts):
+                attempt = first_attempt + offset
+                used = offset + 1
+                try:
+                    corrupt = _chaos_site(site_name, key=index,
+                                          attempt=attempt)
                     result = fn(item)
-                if corrupt:
-                    result = _CORRUPTED
-                if _is_corrupt(result):
-                    raise WorkerFailure(
-                        site_name, key=index, attempt=attempt,
-                        kind="corrupt",
-                        cause="corrupted result detected in transit")
-                status, value, delta = "ok", result, attempt_delta
-                break
-            except Exception as exc:  # noqa: BLE001 - ladder boundary
-                value = _failure_text(exc)
-                _metric_inc("perf.pmap.item_errors")
-                if scope is not None:
+                    if corrupt or _is_corrupt(result):
+                        raise WorkerFailure(
+                            site_name, key=index, attempt=attempt,
+                            kind="corrupt",
+                            cause="corrupted result detected in transit")
+                    status, value = "ok", result
+                    break
+                except Exception as exc:  # noqa: BLE001 - ladder boundary
+                    _metric_inc("perf.pmap.item_errors")
                     scope.add("errors", 1)
-                if offset + 1 < attempts:
-                    _metric_inc("perf.pmap.retries")
-                    time.sleep(backoff_s(base_s, attempt, seed, index))
-        if scope is not None and status != "ok":
-            scope.add("failed", "true")
+                    if used < attempts:
+                        _metric_inc("perf.pmap.retries")
+                        time.sleep(backoff_s(_RETRY_BASE_S, attempt,
+                                             seed, index))
+                    else:
+                        scope.add("failed", "true")
+                        if reraise:
+                            raise
+                    value = _failure_text(exc)
     finally:
-        if scope is not None:
-            scope.__exit__(None, None, None)
         if plan is not None:
             _install_plan(previous)
-    record = scope.record if (scope is not None and ship_record) else None
-    return status, used, value, record, delta
+    return status, used, value, scope.record if ship_record else None
 
 
-def _resilient_entry(payload) -> Tuple[str, int, object,
-                                       Optional[SpanRecord],
-                                       Optional[CacheDelta]]:
-    """Pool-worker entry for the fault-tolerant path: run the in-item
-    attempt loop and ship the (status, attempts, value, trace record,
-    cache delta) tuple back — every component picklable by
+def _pool_entry(payload) -> _Outcome:
+    """Pool-worker entry: run all of an item's attempts with every
+    cache access recorded into one delta, and ship the outcome, trace
+    record and delta back — every component picklable by
     construction."""
-    (fn, index, item, max_retries, base_s, seed, site_name, plan,
-     traced, merge) = payload
-    return _run_attempts(
-        fn, index, item, 0, max_retries + 1, base_s, seed, site_name,
-        plan, traced, ship_record=True, merge=merge)
+    (fn, index, item, attempts, seed, site_name, plan, traced,
+     merge) = payload
+    delta = CacheDelta() if merge else None
+    with (get_match_cache().recording(delta) if delta is not None
+          else nullcontext()):
+        outcome = _run_attempts(fn, index, item, 0, attempts, seed,
+                                site_name, plan, ship_record=traced)
+    return outcome + (delta,)
 
 
-def _merge_item(payload) -> Tuple[object, Optional[SpanRecord],
-                                  CacheDelta]:
-    """Pool-worker entry for the fast path in cache-merge mode: run
-    the item with its cache accesses recorded against the worker's
-    process-global cache and ship the delta back with the result (and
-    the trace capture when tracing is on)."""
-    fn, index, item, traced = payload
-    delta = CacheDelta()
-    record = None
-    if traced:
-        with capture("pmap.item", force=True, index=index) as cap:
-            with get_match_cache().recording(delta):
-                result = fn(item)
-        record = cap.record
-    else:
-        with get_match_cache().recording(delta):
-            result = fn(item)
-    return result, record, delta
+def _pool_outcomes(fn: Callable, work: List, workers: int,
+                   attempts: int, seed: int, site_name: str,
+                   plan: Optional[_FaultPlan], traced: bool,
+                   cache_merge: Optional[MatchCache],
+                   item_timeout_s: Optional[float]
+                   ) -> List[Optional[_Outcome]]:
+    """Run every item in a process pool, one future each, so a single
+    stuck item can time out without blocking the batch.
 
-
-def _traced_item(payload: Tuple[Callable, int, object]
-                 ) -> Tuple[object, SpanRecord]:
-    """Run one item in a pool worker under a ``pmap.item`` capture and
-    ship the span subtree back with the result (records are plain
-    dicts, so the pair pickles)."""
-    fn, index, item = payload
-    with capture("pmap.item", force=True, index=index) as cap:
-        result = fn(item)
-    return result, cap.record
-
-
-def _serial_map(fn: Callable[[T], R], work: List[T],
-                traced: bool) -> List[R]:
-    """In-process mapping; mirrors the per-item spans of the parallel
-    path so the trace tree is worker-count invariant."""
-    if not traced:
-        return [fn(item) for item in work]
-    results: List[R] = []
-    for index, item in enumerate(work):
-        with span("pmap.item", index=index):
-            results.append(fn(item))
-    return results
-
-
-def _seeded_scratch(cache_merge: MatchCache,
-                    seed_limit: int) -> MatchCache:
-    """A fresh cache warmed exactly like a pool worker's would be."""
-    scratch = MatchCache(max_entries=cache_merge.max_entries)
-    scratch.seed(cache_merge.hot_entries(seed_limit))
-    return scratch
-
-
-def _serial_merge_map(fn: Callable[[T], R], work: List[T], traced: bool,
-                      cache_merge: MatchCache,
-                      seed_limit: int) -> List[R]:
-    """In-process mapping in cache-merge mode.
-
-    Runs every item against a seeded scratch cache installed as the
-    process-global one — structurally the same record-and-replay path
-    a pool worker takes — then replays the per-item deltas into
-    ``cache_merge`` in input order.  Because the accounting happens
-    only at replay, ``workers=1`` and ``workers=N`` produce identical
-    hit/miss counters by construction.
+    A slot stays ``None`` for an item the pool did not resolve (a
+    pool failure, or an item behind a timed-out one); the coordinator
+    runs those in-process.  Workers are seeded with the hottest
+    entries of ``cache_merge``.  Once every future has resolved the
+    pool is joined; a timeout instead abandons it —
+    ``shutdown(wait=False, cancel_futures=True)`` — after salvaging
+    siblings that already finished.
     """
-    scratch = _seeded_scratch(cache_merge, seed_limit)
-    previous = swap_match_cache(scratch)
-    deltas: List[CacheDelta] = []
-    results: List[R] = []
-    try:
-        for index, item in enumerate(work):
-            delta = CacheDelta()
-            with scratch.recording(delta):
-                if traced:
-                    with span("pmap.item", index=index):
-                        results.append(fn(item))
-                else:
-                    results.append(fn(item))
-            deltas.append(delta)
-    finally:
-        swap_match_cache(previous)
-    for delta in deltas:
-        cache_merge.merge_delta(delta)
-    return results
-
-
-def _resilient_map(fn: Callable, work: List, workers: int,
-                   max_retries: int, on_item_failure: str,
-                   base_s: float, seed: int, site_name: str,
-                   item_timeout_s: Optional[float],
-                   traced: bool,
-                   cache_merge: Optional[MatchCache] = None,
-                   cache_seed_limit: int = DEFAULT_CACHE_SEED_LIMIT
-                   ) -> List:
-    """The fault-tolerant coordinator behind :func:`pmap`.
-
-    Items are submitted one future each (so a single stuck item can
-    time out without blocking the batch); a timeout abandons the pool
-    outright — ``shutdown(wait=False, cancel_futures=True)``, never a
-    blocking ``with`` exit — salvages siblings that already finished,
-    and resolves everything unresolved in-process.  Failed primaries
-    then climb the escalation ladder per item, in input order.
-
-    In cache-merge mode every coordinator-side run (serial leg,
-    unresolved items, re-runs) happens under a seeded scratch cache —
-    the same environment a pool worker gets — and each item's
-    successful delta is replayed into ``cache_merge`` in input order.
-    """
-    plan = _active_plan()
+    outcomes: List[Optional[_Outcome]] = [None] * len(work)
     merge = cache_merge is not None
-    outcomes: List[Optional[Tuple[str, int, object,
-                                  Optional[SpanRecord],
-                                  Optional[CacheDelta]]]] = \
-        [None] * len(work)
-    parallel = (workers > 1 and len(work) > 1
-                and not os.environ.get(_IN_WORKER_ENV))
-    seeds = cache_merge.hot_entries(cache_seed_limit) if merge else None
-    if parallel:
-        _metric_inc("perf.pmap.parallel_calls")
-        pool: Optional[concurrent.futures.ProcessPoolExecutor] = None
-        try:
-            pool = concurrent.futures.ProcessPoolExecutor(
-                max_workers=min(workers, len(work)),
-                initializer=_mark_worker, initargs=(seeds,))
-            futures = [
-                pool.submit(_resilient_entry,
-                            (fn, index, item, max_retries, base_s,
-                             seed, site_name, plan, traced, merge))
-                for index, item in enumerate(work)]
-            for index, future in enumerate(futures):
-                try:
-                    outcomes[index] = future.result(
-                        timeout=item_timeout_s)
-                except concurrent.futures.TimeoutError:
-                    _metric_inc("perf.pmap.timeouts")
-                    outcomes[index] = (
-                        "timeout", max_retries + 1,
-                        f"WorkerFailure: item {index} exceeded "
-                        f"{item_timeout_s}s timeout", None, None)
-                    # A stuck worker means a stuck pool: abandon it
-                    # without waiting, keep siblings that finished,
-                    # resolve the rest in-process below.
-                    for later in range(index + 1, len(futures)):
-                        other = futures[later]
-                        if other.done() and not other.cancelled():
-                            try:
-                                outcomes[later] = other.result(
-                                    timeout=0)
-                            except Exception as exc:  # noqa: BLE001
-                                outcomes[later] = (
-                                    "fail", max_retries + 1,
-                                    _failure_text(exc), None, None)
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    pool = None
-                    break
-        except _POOL_ERRORS:
-            _metric_inc("perf.pmap.fallback_calls")
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=False)
-    else:
-        _metric_inc("perf.pmap.serial_calls")
-    # coordinator-side runs mimic a pool worker's cache environment
-    scratch_previous = None
-    if merge and any(outcome is None for outcome in outcomes):
-        scratch_previous = swap_match_cache(
-            _seeded_scratch(cache_merge, cache_seed_limit))
+    seeds = cache_merge.hot_entries(_CACHE_SEED_LIMIT) if merge else None
+    pool: Optional[concurrent.futures.ProcessPoolExecutor] = None
+    abandon = False
     try:
-        for index, item in enumerate(work):
-            if outcomes[index] is None:
-                outcomes[index] = _run_attempts(
-                    fn, index, item, 0, max_retries + 1, base_s, seed,
-                    site_name, plan, traced, ship_record=False,
-                    merge=merge)
-        results: List = []
-        for index, outcome in enumerate(outcomes):
-            status, used, value, record, delta = outcome
-            if record is not None:
-                attach_record(record)
-            if status == "ok":
-                if merge and delta is not None:
-                    cache_merge.merge_delta(delta)
-                results.append(value)
-                continue
-            if status != "timeout" and on_item_failure in ("serial",
-                                                           "skip"):
-                # one in-process re-run, continuing the global attempt
-                # numbering (a timed-out fn is assumed genuinely stuck
-                # and is never re-run in the coordinator)
-                _metric_inc("perf.pmap.serial_reruns")
-                if merge and scratch_previous is None:
-                    scratch_previous = swap_match_cache(
-                        _seeded_scratch(cache_merge, cache_seed_limit))
-                (rerun_status, rerun_used, rerun_value, _,
-                 rerun_delta) = _run_attempts(
-                    fn, index, work[index], max_retries + 1, 1, base_s,
-                    seed, site_name, plan, traced, ship_record=False,
-                    merge=merge)
-                used += rerun_used
-                if rerun_status == "ok":
-                    if merge and rerun_delta is not None:
-                        cache_merge.merge_delta(rerun_delta)
-                    results.append(rerun_value)
-                    continue
-                value = rerun_value
-            if on_item_failure == "skip":
-                _metric_inc("perf.pmap.items_skipped")
-                results.append(ItemFailure(index, site_name, used,
-                                           str(value)))
-                continue
-            raise WorkerFailure(
-                site_name, key=index, attempt=max(0, used - 1),
-                kind="hang" if status == "timeout" else "raise",
-                cause=value)
+        pool = concurrent.futures.ProcessPoolExecutor(
+            max_workers=min(workers, len(work)),
+            initializer=_mark_worker, initargs=(seeds,))
+        futures = [
+            pool.submit(_pool_entry,
+                        (fn, index, item, attempts, seed, site_name,
+                         plan, traced, merge))
+            for index, item in enumerate(work)]
+        for index, future in enumerate(futures):
+            try:
+                outcomes[index] = future.result(timeout=item_timeout_s)
+            except concurrent.futures.TimeoutError:
+                _metric_inc("perf.pmap.timeouts")
+                outcomes[index] = (
+                    "timeout", attempts,
+                    f"WorkerFailure: item {index} exceeded "
+                    f"{item_timeout_s}s timeout", None, None)
+                for later in range(index + 1, len(futures)):
+                    other = futures[later]
+                    if (other.done() and not other.cancelled()
+                            and other.exception() is None):
+                        outcomes[later] = other.result()
+                abandon = True
+                break
+        _metric_inc("perf.pmap.parallel_calls")
+    except _POOL_ERRORS:
+        _metric_inc("perf.pmap.fallback_calls")
     finally:
-        if scratch_previous is not None:
-            swap_match_cache(scratch_previous)
-    return results
+        if pool is not None:
+            # cancel only when abandoning: cancelling after a pickling
+            # failure can leave CPython 3.11's pool manager thread
+            # waiting forever on the failed item
+            pool.shutdown(wait=not abandon, cancel_futures=abandon)
+    return outcomes
 
 
 def pmap(fn: Callable[[T], R], items: Sequence[T],
-         workers: Optional[int] = None,
-         chunksize: Optional[int] = None, *,
+         workers: Optional[int] = None, *,
          max_retries: int = 0,
          on_item_failure: str = "raise",
-         retry_base_s: float = 0.001,
          retry_seed: int = 0,
          item_timeout_s: Optional[float] = None,
          site: str = "pmap.item",
-         cache_merge: Optional[MatchCache] = None,
-         cache_seed_limit: int = DEFAULT_CACHE_SEED_LIMIT) -> List[R]:
+         cache_merge: Optional[MatchCache] = None) -> List[R]:
     """Map ``fn`` over ``items``, in parallel, preserving input order.
 
     Parameters
@@ -521,22 +350,17 @@ def pmap(fn: Callable[[T], R], items: Sequence[T],
     workers:
         Process count; ``None`` reads ``REPRO_WORKERS`` (default 1).
         ``workers <= 1`` runs in-process with no pool at all.
-    chunksize:
-        Items handed to a worker per dispatch; defaults to
-        ``ceil(len(items) / (workers * 4))`` so stragglers rebalance.
-        (Fault-tolerant runs submit one future per item instead, so a
-        single stuck item can time out without stalling a chunk.)
     max_retries:
-        In-place retries per failing item before escalation, with
-        deterministic seeded backoff (:func:`backoff_s`).
+        In-place retries per failing item before the in-process
+        re-run, with deterministic seeded backoff (:func:`backoff_s`).
     on_item_failure:
-        ``"raise"`` (default) propagates a :class:`repro.errors.
-        WorkerFailure` once an item's ladder is exhausted; ``"serial"``
-        adds one in-process re-run first; ``"skip"`` additionally
-        replaces an unrecoverable item's result slot with an
+        ``"raise"`` (default) propagates the exception of an item
+        whose in-process re-run failed too (a timed-out item raises
+        :class:`repro.errors.WorkerFailure` of kind ``"hang"``);
+        ``"skip"`` replaces its result slot with an
         :class:`ItemFailure` record and keeps going.
-    retry_base_s / retry_seed:
-        Backoff scale and jitter seed — the same waits on every run.
+    retry_seed:
+        Backoff jitter seed — the same waits on every run.
     item_timeout_s:
         Per-item wall-clock limit for pool workers.  On expiry the
         pool is abandoned (never joined) and unfinished items are
@@ -546,18 +370,14 @@ def pmap(fn: Callable[[T], R], items: Sequence[T],
         Failure-site name for error records and for
         :mod:`repro.resilience.chaos` fault plans targeting this call.
     cache_merge:
-        Opt into mergeable-cache mode: workers record every cache
-        access per item into a :class:`repro.perf.cache.CacheDelta`
-        shipped back with the result, and the coordinator replays the
-        deltas into this cache in input order.  Hit/miss counters on
-        ``cache_merge`` then move exactly as a serial run's would —
-        at any worker count.  Workers are seeded at startup with the
-        cache's hottest ``cache_seed_limit`` entries, which is how an
-        engine-lifetime cache (MIDAS) keeps paying off inside a pool.
-        Serial execution takes a structurally identical path (scratch
-        cache, record, replay) so counters never depend on ``workers``.
-    cache_seed_limit:
-        Bound on the hot-entry snapshot shipped to each worker.
+        The match cache the items' accesses land in.  In-process
+        items read and count against it directly
+        (:func:`repro.perf.cache.get_match_cache` returns it while
+        they run).  Pool workers are seeded with its hottest entries
+        and record each item's accesses, over all of its attempts,
+        into a :class:`repro.perf.cache.CacheDelta` that the
+        coordinator replays into it in input order — so its hit/miss
+        counters move identically at every worker count.
 
     The return value is exactly ``[fn(item) for item in items]``; the
     pool is an implementation detail that can never change the result.
@@ -572,66 +392,45 @@ def pmap(fn: Callable[[T], R], items: Sequence[T],
         raise OptionError("max_retries must be >= 0")
     work = list(items)
     workers = resolve_workers(workers)
-    traced = tracing_enabled()
+    plan = _active_plan()
+    attempts = max_retries + 1
     _metric_inc("perf.pmap.calls")
     _metric_inc("perf.pmap.items", len(work))
-    if (max_retries > 0 or on_item_failure != "raise"
-            or item_timeout_s is not None
-            or _active_plan() is not None):
-        return _resilient_map(fn, work, workers, max_retries,
-                              on_item_failure, retry_base_s,
-                              retry_seed, site, item_timeout_s, traced,
-                              cache_merge, cache_seed_limit)
-    if workers <= 1 or len(work) <= 1 or os.environ.get(_IN_WORKER_ENV):
+    if workers > 1 and len(work) > 1 and not os.environ.get(_IN_WORKER_ENV):
+        outcomes = _pool_outcomes(fn, work, workers, attempts, retry_seed,
+                                  site, plan, tracing_enabled(),
+                                  cache_merge, item_timeout_s)
+    else:
         _metric_inc("perf.pmap.serial_calls")
-        if cache_merge is not None:
-            return _serial_merge_map(fn, work, traced, cache_merge,
-                                     cache_seed_limit)
-        return _serial_map(fn, work, traced)
-    if chunksize is None:
-        chunksize = max(1, -(-len(work) // (workers * 4)))
-    if cache_merge is not None:
-        seeds = cache_merge.hot_entries(cache_seed_limit)
-        try:
-            with concurrent.futures.ProcessPoolExecutor(
-                    max_workers=min(workers, len(work)),
-                    initializer=_mark_worker, initargs=(seeds,)) as pool:
-                triples = list(pool.map(
-                    _merge_item,
-                    [(fn, index, item, traced)
-                     for index, item in enumerate(work)],
-                    chunksize=chunksize))
-        except _POOL_ERRORS:
-            _metric_inc("perf.pmap.fallback_calls")
-            return _serial_merge_map(fn, work, traced, cache_merge,
-                                     cache_seed_limit)
-        _metric_inc("perf.pmap.parallel_calls")
-        merged: List[R] = []
-        for result, record, delta in triples:
-            if record is not None:
-                attach_record(record)
-            cache_merge.merge_delta(delta)
-            merged.append(result)
-        return merged
-    try:
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=min(workers, len(work)),
-                initializer=_mark_worker) as pool:
-            if traced:
-                pairs = list(pool.map(
-                    _traced_item,
-                    [(fn, index, item)
-                     for index, item in enumerate(work)],
-                    chunksize=chunksize))
+        outcomes = [None] * len(work)
+    results: List = []
+    with _bind_match_cache(cache_merge):
+        for index, item in enumerate(work):
+            outcome = outcomes[index]
+            if outcome is None:
+                status, used, value, _ = _run_attempts(
+                    fn, index, item, 0, attempts, retry_seed, site, plan)
             else:
-                _metric_inc("perf.pmap.parallel_calls")
-                return list(pool.map(fn, work, chunksize=chunksize))
-    except _POOL_ERRORS:
-        _metric_inc("perf.pmap.fallback_calls")
-        return _serial_map(fn, work, traced)
-    _metric_inc("perf.pmap.parallel_calls")
-    results: List[R] = []
-    for result, record in pairs:
-        attach_record(record)
-        results.append(result)
+                status, used, value, record, delta = outcome
+                if record is not None:
+                    attach_record(record)
+                if cache_merge is not None and delta is not None:
+                    cache_merge.merge_delta(delta)
+            if status == "fail":
+                # one in-process re-run, continuing the global attempt
+                # numbering (a timed-out fn is assumed genuinely stuck
+                # and is never re-run)
+                _metric_inc("perf.pmap.serial_reruns")
+                status, rerun_used, value, _ = _run_attempts(
+                    fn, index, item, attempts, 1, retry_seed, site, plan,
+                    reraise=on_item_failure == "raise")
+                used += rerun_used
+            if status == "ok":
+                results.append(value)
+            elif on_item_failure == "skip":
+                _metric_inc("perf.pmap.items_skipped")
+                results.append(ItemFailure(index, site, used, str(value)))
+            else:
+                raise WorkerFailure(site, key=index, attempt=max_retries,
+                                    kind="hang", cause=value)
     return results

@@ -18,7 +18,7 @@ budget yields a *well-formed degraded result*, never a lost run.
   (raise / hang / corrupt at named sites, keyed or call-counted).
 
 Fault-tolerant execution itself lives in :func:`repro.perf.pmap`
-(per-item retry, serial re-run, skip-with-record); this package
+(per-item retry, in-process re-run, skip-with-record); this package
 supplies the budget, the bookkeeping, and the failure script.
 """
 

@@ -21,6 +21,18 @@ from repro.query.builder import QueryBuilder
 from repro.service.snapshot import EngineSnapshot
 
 
+def _int_field(action: Dict[str, object], op: object, field: str) -> int:
+    """``action[field]`` as an int; a missing or non-integer value is
+    the client's mistake (:class:`OptionError`, HTTP 400)."""
+    value = action.get(field)
+    try:
+        return int(value)  # type: ignore[arg-type]
+    except (TypeError, ValueError, OverflowError):
+        raise OptionError(
+            f"action {op!r} needs an integer {field!r}, got {value!r}"
+        ) from None
+
+
 class Session:
     """One client's query-building state."""
 
@@ -47,11 +59,13 @@ class Session:
         if op == "add_node":
             return self.builder.add_node(str(action.get("label", "")))
         if op == "add_edge":
-            self.builder.add_edge(int(action["u"]), int(action["v"]),
+            self.builder.add_edge(_int_field(action, op, "u"),
+                                  _int_field(action, op, "v"),
                                   str(action.get("label", "")))
             return None
         if op == "add_pattern":
-            pattern = self.snapshot.pattern_at(int(action["index"]))
+            pattern = self.snapshot.pattern_at(
+                _int_field(action, op, "index"))
             mapping = self.builder.add_pattern(pattern)
             # pattern-node -> query-node pairs; JSON objects cannot
             # key on ints, so ship the same pair-list shape
@@ -59,23 +73,24 @@ class Session:
             return [[u, v] for u, v in sorted(mapping.items())]
         if op == "set_node_label":
             self.builder.query.set_node_label(
-                int(action["node"]), str(action.get("label", "")))
+                _int_field(action, op, "node"),
+                str(action.get("label", "")))
             return None
         if op == "set_edge_label":
             self.builder.query.set_edge_label(
-                int(action["u"]), int(action["v"]),
+                _int_field(action, op, "u"), _int_field(action, op, "v"),
                 str(action.get("label", "")))
             return None
         if op == "merge_nodes":
-            self.builder.merge_nodes(int(action["keep"]),
-                                     int(action["remove"]))
+            self.builder.merge_nodes(_int_field(action, op, "keep"),
+                                     _int_field(action, op, "remove"))
             return None
         if op == "delete_node":
-            self.builder.query.remove_node(int(action["node"]))
+            self.builder.query.remove_node(_int_field(action, op, "node"))
             return None
         if op == "delete_edge":
-            self.builder.query.remove_edge(int(action["u"]),
-                                           int(action["v"]))
+            self.builder.query.remove_edge(_int_field(action, op, "u"),
+                                           _int_field(action, op, "v"))
             return None
         raise OptionError(f"unknown action op {op!r}")
 

@@ -12,6 +12,7 @@ allowed to exist by (DESIGN.md):
 """
 
 import random
+import threading
 
 import pytest
 
@@ -31,8 +32,10 @@ from repro.perf import (
     MatchCache,
     cached_canonical_code,
     cached_covered_edges,
+    cached_is_subgraph,
     derive_seed,
     derive_seeds,
+    get_match_cache,
     graph_fingerprint,
     pmap,
     reset_vf2_calls,
@@ -52,6 +55,32 @@ def _seeded_walk(task):
     seed, steps = task
     rng = random.Random(seed)
     return [rng.randrange(1000) for _ in range(steps)]
+
+
+#: Events ordering the two threads of the cache-binding test.
+_GATES = {}
+
+
+def _gated_access(tag):
+    """One cache access, ordered so that thread "a" enters first and
+    leaves first while thread "b" is still inside its item."""
+    cache = get_match_cache()
+    if tag == "a":
+        _GATES["a_in"].set()
+        _GATES["b_in"].wait(10)
+    else:
+        _GATES["b_in"].set()
+        _GATES["a_out"].wait(10)
+    key = ("pmap-binding-test", tag)
+    if not cache.lookup(key)[0]:
+        cache.store(key, tag)
+    return tag
+
+
+def _probe_subgraph(task):
+    pattern, target, code = task
+    return cached_is_subgraph(pattern, target, pattern_code=code,
+                              cache=get_match_cache())
 
 
 class TestDeriveSeed:
@@ -120,10 +149,44 @@ class TestPmap:
         assert pmap(lambda x: x + 1, items, workers=2) == \
             [x + 1 for x in items]
 
-    def test_chunksize_irrelevant_to_results(self):
-        items = list(range(17))
-        assert pmap(_square, items, workers=2, chunksize=1) == \
-            pmap(_square, items, workers=2, chunksize=7)
+
+class TestPmapCacheMerge:
+    def test_overlapping_in_process_calls_keep_the_global_cache(self):
+        original = get_match_cache()
+        before = original.hits + original.misses
+        _GATES.update(a_in=threading.Event(), b_in=threading.Event(),
+                      a_out=threading.Event())
+        threads = {tag: threading.Thread(
+            target=pmap, args=(_gated_access, [tag]),
+            kwargs={"workers": 1, "cache_merge": original})
+            for tag in "ab"}
+        threads["a"].start()
+        assert _GATES["a_in"].wait(10)
+        threads["b"].start()
+        threads["a"].join(10)
+        _GATES["a_out"].set()
+        threads["b"].join(10)
+        assert not any(thread.is_alive() for thread in threads.values())
+        assert get_match_cache() is original
+        assert original.hits + original.misses == before + 2
+
+    def test_in_process_items_see_the_whole_cache(self):
+        pattern = _triangle()
+        target = generate_chemical_repository(1, seed=3)[0]
+        code = canonical_code(pattern)
+        cache = MatchCache()
+        expected = cached_is_subgraph(pattern, target, pattern_code=code,
+                                      cache=cache)
+        # bury the answer below the 512 hottest entries a pool worker
+        # would be seeded with
+        for filler in range(600):
+            cache.store(("filler", filler), filler)
+        cache.reset_stats()
+        reset_vf2_calls()
+        assert pmap(_probe_subgraph, [(pattern, target, code)], workers=1,
+                    cache_merge=cache) == [expected]
+        assert vf2_calls() == 0
+        assert (cache.hits, cache.misses) == (1, 0)
 
 
 class TestMatchCache:

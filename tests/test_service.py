@@ -171,6 +171,33 @@ class TestSessions:
         assert gone.status == 404
         assert gone.body["error"]["type"] == "UnknownNameError"
 
+    @pytest.mark.parametrize("action, field", [
+        ({"op": "add_edge", "v": 1}, "u"),
+        ({"op": "add_edge", "u": "x", "v": 1}, "u"),
+        ({"op": "add_pattern"}, "index"),
+        ({"op": "merge_nodes", "remove": 1}, "keep"),
+        ({"op": "delete_node"}, "node"),
+    ], ids=["add_edge-missing-u", "add_edge-non-integer-u",
+            "add_pattern-missing-index", "merge_nodes-missing-keep",
+            "delete_node-missing-node"])
+    def test_malformed_action_is_a_structured_400(self, service, action,
+                                                   field):
+        def unhandled():
+            counters = service.dispatch(
+                "GET", "/v1/metrics").body["metrics"]["counters"]
+            return counters.get("service.errors.unhandled", 0)
+
+        sid = service.dispatch("POST", "/v1/sessions").body["session"]
+        before = unhandled()
+        response = service.dispatch(
+            "POST", f"/v1/sessions/{sid}/actions", {"actions": [action]})
+        assert response.status == 400
+        error = response.body["error"]
+        assert error["type"] == "OptionError"
+        assert action["op"] in error["message"]
+        assert repr(field) in error["message"]
+        assert unhandled() == before
+
     def test_session_query_and_suggest(self, service):
         sid = service.dispatch("POST", "/v1/sessions").body["session"]
         service.dispatch(

@@ -2,7 +2,7 @@ PYTHON ?= python
 
 .PHONY: lint lint-json lint-project test bench-collect compile check \
 	bench-smoke bench-scale trace-smoke chaos-smoke serve-smoke \
-	store-smoke
+	store-smoke servicebench-test
 
 lint:
 	PYTHONPATH=tools $(PYTHON) -m reprolint src/repro
@@ -73,5 +73,11 @@ store-smoke:
 	REPRO_WORKERS=4 PYTHONPATH=src $(PYTHON) -m pytest -x -q \
 		tests/test_store.py
 	PYTHONPATH=src $(PYTHON) tools/store_smoke.py
+
+# the service benchmark's own tests: they drive `serve --trace` through
+# servicebench/launcher.py, which wraps library entry points by name,
+# so a rename in src/ that breaks the benchmark fails here
+servicebench-test:
+	$(PYTHON) -m pytest servicebench -q
 
 check: compile lint lint-project test bench-collect

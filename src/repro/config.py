@@ -15,8 +15,12 @@ of them can build on it without an import cycle.
 
 from __future__ import annotations
 
+from collections import abc
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Optional, Type, TypeVar
+from enum import Enum
+from functools import cache
+from typing import (TYPE_CHECKING, Dict, Optional, Type, TypeVar, Union,
+                    get_args, get_origin, get_type_hints)
 
 from repro.errors import PipelineError
 from repro.patterns.scoring import DEFAULT_WEIGHTS, ScoreWeights
@@ -32,9 +36,10 @@ class RunConfig:
     ``seed`` roots all randomness; ``workers`` fans hot stages over
     :func:`repro.perf.pmap` (``None`` reads ``REPRO_WORKERS``; results
     are identical at every count); ``use_cache`` toggles the shared VF2
-    match cache; ``trace`` captures a :mod:`repro.obs` trace for the
-    run even when ``REPRO_TRACE`` is unset; ``weights`` and
-    ``max_embeddings`` parameterise the pattern-set score.
+    match cache; ``trace`` captures a :mod:`repro.obs` trace of the
+    run, private to the calling thread (spans record only inside
+    such a capture); ``weights`` and ``max_embeddings`` parameterise
+    the pattern-set score.
     ``deadline_s`` puts the run under a wall-clock budget: stages stop
     at loop boundaries once it expires and the result comes back
     ``degraded`` instead of raising.  ``max_retries`` is the per-item
@@ -54,13 +59,48 @@ class RunConfig:
 C = TypeVar("C", bound=RunConfig)
 
 
+@cache
+def _field_types(cls: type) -> Dict[str, object]:
+    """``cls``'s resolved field types, once per class: resolving them
+    costs about ten times a whole :func:`stage_config` call, which
+    MIDAS makes once per durable batch."""
+    return get_type_hints(cls)
+
+
+def _conforms(value: object, hint: object) -> bool:
+    """Whether ``value`` has the type a config field declares: an int
+    passes as a float, a bool never as a number, an enum's value as
+    its member; a shape other than a class, ``Optional`` or
+    ``Sequence`` is not checked."""
+    if isinstance(hint, type):
+        if issubclass(hint, Enum):
+            return value in list(hint)
+        kinds = (int, float) if hint is float else hint
+        return isinstance(value, kinds) and (
+            hint is bool or not isinstance(value, bool))
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Union:
+        return any(_conforms(value, arm) for arm in args)
+    if origin is abc.Sequence:
+        return isinstance(value, (list, tuple)) and all(
+            _conforms(item, args[0]) for item in value)
+    return True
+
+
+def _type_name(hint: object) -> str:
+    if isinstance(hint, type):
+        return hint.__name__
+    return str(hint).replace("typing.", "")
+
+
 def stage_config(cls: Type[C], pipeline: PipelineConfig) -> C:
     """The stage config of type ``cls`` that ``pipeline`` describes.
 
     The shared run fields copy over 1:1; ``pipeline.options`` fills
     the stage's own fields.  An option that names a shared run field
     (set it on the :class:`PipelineConfig` itself) or a field ``cls``
-    does not have raises :class:`repro.errors.PipelineError`.
+    does not have, or any value of a type its field does not declare,
+    raises :class:`repro.errors.PipelineError`.
     """
     shared = [f.name for f in fields(RunConfig)]
     own = {f.name for f in fields(cls)} - set(shared)
@@ -70,5 +110,13 @@ def stage_config(cls: Type[C], pipeline: PipelineConfig) -> C:
             f"invalid {cls.__name__} option(s): {', '.join(invalid)} "
             f"(valid: {', '.join(sorted(own))}; shared run fields are "
             "set on the PipelineConfig itself)")
-    return cls(**{name: getattr(pipeline, name) for name in shared},
-               **pipeline.options)
+    values = {name: getattr(pipeline, name) for name in shared}
+    values.update(pipeline.options)
+    types = _field_types(cls)
+    wrong = [f"{name}={value!r} (expected {_type_name(types[name])})"
+             for name, value in values.items()
+             if not _conforms(value, types[name])]
+    if wrong:
+        raise PipelineError(
+            f"invalid {cls.__name__} value(s): {', '.join(wrong)}")
+    return cls(**values)

@@ -5,11 +5,11 @@ one place to ask *where time and work go* inside a run:
 
 * :func:`span` — hierarchical trace spans (``span("catapult.
   cluster")``) recording wall time, parent/child structure, and
-  arbitrary counters; zero overhead while tracing is disabled
-  (``REPRO_TRACE`` env or :func:`enable`).
+  arbitrary counters; they record only inside a capture and cost
+  one context-variable read outside one.
 * :func:`capture` — bound one run and collect its finished trace
-  tree; ``force=True`` implements the per-run ``config.trace``
-  switch.
+  tree; ``force=True`` (the per-run ``config.trace`` switch) starts
+  a trace private to the calling thread's context.
 * :func:`attach_record` — merge serializable span records shipped
   back from :func:`repro.perf.pmap` workers, so a parallel run's
   trace is identical to the serial one up to wall-clock fields.
@@ -48,19 +48,12 @@ from repro.obs.tracing import (
     NULL_SPAN,
     Span,
     SpanRecord,
-    TRACE_ENV,
-    WALL_CLOCK_FIELDS,
     add,
     attach_record,
     capture,
-    current_span_name,
-    disable,
-    enable,
     new_record,
-    reset_tracing,
     span,
     strip_wall_clock,
-    take_roots,
     tracing_enabled,
 )
 
@@ -69,16 +62,11 @@ __all__ = [
     "NULL_SPAN",
     "Span",
     "SpanRecord",
-    "TRACE_ENV",
     "TRACE_FORMAT_VERSION",
-    "WALL_CLOCK_FIELDS",
     "WIRE_SCHEMA",
     "add",
     "attach_record",
     "capture",
-    "current_span_name",
-    "disable",
-    "enable",
     "format_trace",
     "inc",
     "matching_snapshot",
@@ -87,13 +75,11 @@ __all__ = [
     "read_trace",
     "registry",
     "reset",
-    "reset_tracing",
     "set_gauge",
     "snapshot",
     "span",
     "stage_breakdown",
     "strip_wall_clock",
-    "take_roots",
     "trace_envelope",
     "trace_to_json",
     "tracing_enabled",

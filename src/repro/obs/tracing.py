@@ -1,18 +1,19 @@
-"""Hierarchical trace spans with zero overhead when disabled.
+"""Hierarchical trace spans, recorded per run.
 
 A *span* is one timed region of a pipeline run — ``span("catapult.
 cluster")`` — recording wall time, parent/child structure, and
-arbitrary counters.  Spans nest through a process-local stack, so the
-call tree of an instrumented run falls out of ordinary ``with``
-nesting; :func:`capture` bounds one run and hands back the finished
-root record.
+arbitrary counters.  Spans nest through the open-span stack of the
+current context, so the call tree of an instrumented run falls out of
+ordinary ``with`` nesting; :func:`capture` bounds one run and hands
+back the finished root record.
 
-The whole module is stdlib-only and costs nothing when tracing is off:
-``span()`` then returns one shared no-op context manager, and every
-other entry point bails on a single flag test.  Tracing is switched on
-by the ``REPRO_TRACE`` environment variable (read once at import), by
-:func:`enable`, or per-run by ``capture(..., force=True)`` (which is
-how ``config.trace=True`` works without touching global state).
+Tracing belongs to the run, not the process: spans record only inside
+a ``capture(..., force=True)``, which is how ``config.trace=True`` and
+``--trace`` work.  The open-span stack lives in one
+:class:`contextvars.ContextVar` whose ``None`` means "off", so each
+thread's capture is private and an untraced thread records nothing.
+While off, ``span()`` returns one shared no-op context manager and
+every other entry point bails on one context-variable read.
 
 Span records are plain dicts — ``{"name", "duration", "counters",
 "children"}`` — deliberately, so they pickle across
@@ -25,12 +26,9 @@ wall-clock fields.
 
 from __future__ import annotations
 
-import os
 import time
+from contextvars import ContextVar, Token
 from typing import Dict, List, Optional, Union
-
-#: Environment variable that switches tracing on at import time.
-TRACE_ENV = "REPRO_TRACE"
 
 #: Counter values are numbers (tallies) or strings (annotations).
 CounterValue = Union[int, float, str]
@@ -38,45 +36,20 @@ CounterValue = Union[int, float, str]
 #: A finished span: name, duration (seconds), counters, children.
 SpanRecord = Dict[str, object]
 
-#: Record keys that depend on the clock; structural comparisons (for
-#: example workers=1 vs workers=4 merged traces) strip these.
-WALL_CLOCK_FIELDS = ("duration",)
+#: Open spans of this context, innermost last; ``None`` while no
+#: capture is open.  Threads start with it unset, and pool workers
+#: trace their own items and ship the records back by value.
+_trace_stack: "ContextVar[Optional[List[SpanRecord]]]" = ContextVar(
+    "repro_trace_stack", default=None)
 
-
-def _env_truthy(raw: Optional[str]) -> bool:
-    return (raw or "").strip().lower() in ("1", "true", "yes", "on")
-
-
-_state = {"enabled": _env_truthy(os.environ.get(TRACE_ENV))}
-
-#: Open spans, innermost last.  Process-local by design: worker
-#: processes trace their own stacks and ship records back by value.
-_stack: List[SpanRecord] = []
-
-#: Finished root spans not owned by a :func:`capture` (drained with
-#: :func:`take_roots`).
-_roots: List[SpanRecord] = []
+#: Bound once, so the off path skips an attribute lookup: this call
+#: is all a span costs while tracing is off.
+_open_stack = _trace_stack.get
 
 
 def tracing_enabled() -> bool:
-    """Whether spans are currently being recorded."""
-    return _state["enabled"]
-
-
-def enable(on: bool = True) -> None:
-    """Turn tracing on (or off) for this process."""
-    _state["enabled"] = bool(on)
-
-
-def disable() -> None:
-    """Turn tracing off for this process."""
-    _state["enabled"] = False
-
-
-def reset_tracing() -> None:
-    """Drop all open and finished spans (test isolation)."""
-    _stack.clear()
-    _roots.clear()
+    """Whether a capture is open in this context."""
+    return _open_stack() is not None
 
 
 def new_record(name: str,
@@ -87,10 +60,21 @@ def new_record(name: str,
             "counters": dict(counters or {}), "children": []}
 
 
+def _bump(counters: Dict[str, CounterValue], key: str,
+          value: CounterValue) -> None:
+    if isinstance(value, str):
+        counters[key] = value
+    else:
+        counters[key] = counters.get(key, 0) + value
+
+
 class _NullSpan:
-    """Shared do-nothing span returned while tracing is disabled."""
+    """Shared do-nothing span returned while tracing is off (and the
+    idle :func:`capture`, whose ``record`` stays ``None``)."""
 
     __slots__ = ()
+
+    record = None
 
     def __enter__(self) -> "_NullSpan":
         return self
@@ -109,40 +93,48 @@ NULL_SPAN = _NullSpan()
 
 
 class Span:
-    """A live span; use via :func:`span`, not directly."""
+    """A live span; use via :func:`span` or :func:`capture`.
 
-    __slots__ = ("node", "_start")
+    ``record`` is this span's own subtree.  Entered with no capture
+    open, the span is a root: it starts this context's trace and
+    resets it on exit, also when the block raises.
+    """
+
+    __slots__ = ("record", "_start", "_token")
 
     def __init__(self, name: str,
                  counters: Optional[Dict[str, CounterValue]] = None
                  ) -> None:
-        self.node = new_record(name, counters)
+        self.record = new_record(name, counters)
         self._start = 0.0
+        self._token: Optional[Token] = None
 
     def __enter__(self) -> "Span":
-        _stack.append(self.node)
+        stack = _open_stack()
+        if stack is None:
+            self._token = _trace_stack.set([self.record])
+        else:
+            stack.append(self.record)
         self._start = time.perf_counter()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        self.node["duration"] = time.perf_counter() - self._start
-        popped = _stack.pop()
+        self.record["duration"] = time.perf_counter() - self._start
+        if self._token is not None:
+            _trace_stack.reset(self._token)
+            return False
+        stack = _open_stack()
+        popped = stack.pop()
         # stack discipline: a span must close in the frame it opened
-        while popped is not self.node and _stack:
-            popped = _stack.pop()
-        if _stack:
-            _stack[-1]["children"].append(self.node)
-        else:
-            _roots.append(self.node)
+        while popped is not self.record and stack:
+            popped = stack.pop()
+        if stack:
+            stack[-1]["children"].append(self.record)
         return False
 
     def add(self, key: str, value: CounterValue = 1) -> None:
         """Accumulate a numeric counter (or set a string annotation)."""
-        counters = self.node["counters"]
-        if isinstance(value, str):
-            counters[key] = value
-        else:
-            counters[key] = counters.get(key, 0) + value
+        _bump(self.record["counters"], key, value)
 
     def annotate(self, **counters: CounterValue) -> None:
         for key, value in counters.items():
@@ -152,29 +144,19 @@ class Span:
 def span(name: str, **counters: CounterValue):
     """Context manager recording one timed region of a pipeline.
 
-    With tracing disabled this returns a shared no-op object — the
-    instrumentation's only cost is this flag test.
+    Outside a capture this returns a shared no-op object — the
+    instrumentation's only cost is one context-variable read.
     """
-    if not _state["enabled"]:
+    if _open_stack() is None:
         return NULL_SPAN
     return Span(name, counters)
 
 
 def add(key: str, value: CounterValue = 1) -> None:
     """Bump a counter on the innermost open span, if any."""
-    if _state["enabled"] and _stack:
-        counters = _stack[-1]["counters"]
-        if isinstance(value, str):
-            counters[key] = value
-        else:
-            counters[key] = counters.get(key, 0) + value
-
-
-def current_span_name() -> Optional[str]:
-    """Name of the innermost open span (None outside any span)."""
-    if not _stack:
-        return None
-    return str(_stack[-1]["name"])
+    stack = _open_stack()
+    if stack:
+        _bump(stack[-1]["counters"], key, value)
 
 
 def attach_record(record: SpanRecord) -> None:
@@ -182,88 +164,25 @@ def attach_record(record: SpanRecord) -> None:
     from a :func:`repro.perf.pmap` worker) into the current trace.
 
     The record becomes a child of the innermost open span, preserving
-    call order; with no span open it is kept as a finished root.
-    No-op while tracing is disabled.
+    call order.  No-op outside a capture.
     """
-    if not _state["enabled"]:
-        return
-    if _stack:
-        _stack[-1]["children"].append(record)
-    else:
-        _roots.append(record)
+    stack = _open_stack()
+    if stack:
+        stack[-1]["children"].append(record)
 
 
-def take_roots() -> List[SpanRecord]:
-    """Drain and return finished root spans not owned by a capture."""
-    roots = list(_roots)
-    _roots.clear()
-    return roots
-
-
-class Capture:
-    """Bounds one traced run; ``.record`` holds the finished tree.
-
-    Inside an already-open span this degrades to a plain child span
-    (the outer capture still owns the full tree) while ``.record``
-    still points at this run's subtree — so nested pipelines compose.
-    """
-
-    __slots__ = ("record", "_name", "_counters", "_force", "_span",
-                 "_prev_enabled", "_active")
-
-    def __init__(self, name: str, force: bool = False,
-                 counters: Optional[Dict[str, CounterValue]] = None
-                 ) -> None:
-        self.record: Optional[SpanRecord] = None
-        self._name = name
-        self._counters = counters
-        self._force = force
-        self._span: Optional[Span] = None
-        self._prev_enabled = False
-        self._active = False
-
-    def __enter__(self) -> "Capture":
-        self._active = self._force or _state["enabled"]
-        if not self._active:
-            return self
-        self._prev_enabled = _state["enabled"]
-        _state["enabled"] = True
-        self._span = Span(self._name, self._counters)
-        self._span.__enter__()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        if not self._active:
-            return False
-        assert self._span is not None
-        self._span.__exit__(exc_type, exc, tb)
-        self.record = self._span.node
-        # a root-level capture owns its record; do not double-report
-        # it through take_roots()
-        if not _stack and _roots and _roots[-1] is self.record:
-            _roots.pop()
-        _state["enabled"] = self._prev_enabled
-        return False
-
-    def add(self, key: str, value: CounterValue = 1) -> None:
-        """Counter update on the run's root span (no-op when idle)."""
-        if self._span is not None:
-            self._span.add(key, value)
-
-    def annotate(self, **counters: CounterValue) -> None:
-        for key, value in counters.items():
-            self.add(key, value)
-
-
-def capture(name: str, force: bool = False,
-            **counters: CounterValue) -> Capture:
+def capture(name: str, force: bool = False, **counters: CounterValue):
     """Record one run as a trace tree rooted at ``name``.
 
-    ``force=True`` traces this run even when tracing is globally off
-    (the per-run ``config.trace`` switch); otherwise the capture is a
-    no-op with ``record=None`` unless tracing is enabled.
+    ``force=True`` starts a trace in this context (the per-run
+    ``config.trace`` switch).  Inside an open capture this joins as a
+    child span whose ``.record`` is still this run's own subtree, so
+    nested pipelines compose.  Otherwise it is :data:`NULL_SPAN`, a
+    no-op with ``record=None``.
     """
-    return Capture(name, force=force, counters=counters)
+    if force or _open_stack() is not None:
+        return Span(name, counters)
+    return NULL_SPAN
 
 
 def strip_wall_clock(record: SpanRecord) -> SpanRecord:

@@ -225,9 +225,17 @@ class PatternService:
     def publish_build(self, data: Union[Graph, Sequence[Graph]],
                       patterns, generator: str) -> EngineSnapshot:
         """Publish a freshly built pattern set as the new snapshot
-        (and persist it on a durable backend)."""
-        snapshot = self.snapshots.swap(data, patterns, generator)
-        self._commit_snapshot(snapshot)
+        (and persist it on a durable backend).
+
+        The swap and the commit run under ``engine_lock``, as
+        maintenance's do, so a build can never land between a
+        batch's swap and its commit (the store would then recover a
+        state the service no longer serves) and no two commits
+        overlap.
+        """
+        with self.engine_lock:
+            snapshot = self.snapshots.swap(data, patterns, generator)
+            self._commit_snapshot(snapshot)
         return snapshot
 
     def apply_maintenance(self, batch: UpdateBatch

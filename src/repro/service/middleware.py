@@ -242,6 +242,7 @@ def status_for(error: ReproError) -> int:
     acted as a gateway to a failing worker pool).
     """
     from repro.errors import (
+        BudgetError,
         BudgetExceeded,
         FormatError,
         GraphError,
@@ -263,8 +264,8 @@ def status_for(error: ReproError) -> int:
         return 503
     if isinstance(error, WorkerFailure):
         return 502
-    if isinstance(error, (FormatError, GraphError, OptionError,
-                          PipelineError)):
+    if isinstance(error, (BudgetError, FormatError, GraphError,
+                          OptionError, PipelineError)):
         return 400
     return 500
 

@@ -123,10 +123,11 @@ def config_from_payload(payload: object) -> PipelineConfig:
     The wire shape mirrors the dataclass: ``budget`` is
     ``{"max_patterns": k, "min_size": n, "max_size": m}``, everything
     else maps 1:1 (``options`` stays a plain mapping).  Unknown keys
-    raise :class:`repro.errors.OptionError` → HTTP 400; invalid
-    ``options`` raise :class:`repro.errors.PipelineError` (also 400)
-    when :func:`repro.config.stage_config` validates them at build
-    time.
+    raise :class:`repro.errors.OptionError` → HTTP 400, an
+    unsatisfiable budget :class:`repro.errors.BudgetError` (also
+    400); invalid ``options`` and values of the wrong type raise
+    :class:`repro.errors.PipelineError` (also 400) when
+    :func:`repro.config.stage_config` validates them at build time.
     """
     if payload is None:
         payload = {}

@@ -1,12 +1,17 @@
 """Tests for repro.obs: spans, capture, metrics, export.
 
 The contracts under test are the observability layer's reasons to
-exist (ISSUE 4): spans nest through ordinary ``with`` nesting and
-cost one flag test when tracing is off; traces are identical at every
-``pmap`` worker count once wall-clock fields are stripped; the
-metrics registry resets without touching cached match entries; and
-``repro.obs.snapshot()`` subsumes the legacy stats endpoints.
+exist: spans nest through ordinary ``with`` nesting, record only
+inside a capture and cost one context-variable read outside one;
+each thread's capture is private, so overlapping traced runs never
+mix their trees; traces are identical at every ``pmap`` worker count
+once wall-clock fields are stripped; the metrics registry resets
+without touching cached match entries; and ``repro.obs.snapshot()``
+subsumes the legacy stats endpoints.
 """
+
+import sys
+import threading
 
 import pytest
 
@@ -15,14 +20,11 @@ from repro.obs import (
     NULL_SPAN,
     attach_record,
     capture,
-    disable,
-    enable,
     metrics,
+    new_record,
     read_trace,
-    reset_tracing,
     span,
     strip_wall_clock,
-    take_roots,
     tracing_enabled,
     write_trace,
 )
@@ -32,13 +34,11 @@ from tests.trace_schema import validate_envelope, validate_record
 
 
 @pytest.fixture(autouse=True)
-def _clean_tracing():
-    """Every test starts and ends with tracing off and no spans."""
-    reset_tracing()
-    disable()
+def _no_open_capture():
+    """Every test starts and ends outside any capture."""
+    assert not tracing_enabled()
     yield
-    reset_tracing()
-    disable()
+    assert not tracing_enabled()
 
 
 def _square(x):
@@ -53,16 +53,19 @@ class TestSpans:
         with span("noop") as s:
             s.add("ignored")
             s.annotate(also="ignored")
-        assert take_roots() == []
+        assert s.record is None
+        with capture("later", force=True) as run:
+            pass
+        assert run.record["children"] == []
 
     def test_nesting_and_counters(self):
-        enable()
-        with span("outer", items=2) as outer:
-            with span("inner") as inner:
-                inner.add("steps")
-                inner.add("steps")
-            outer.add("done", 1)
-        (root,) = take_roots()
+        with capture("run", force=True) as run:
+            with span("outer", items=2) as outer:
+                with span("inner") as inner:
+                    inner.add("steps")
+                    inner.add("steps")
+                outer.add("done", 1)
+        (root,) = run.record["children"]
         assert root["name"] == "outer"
         assert root["counters"] == {"items": 2, "done": 1}
         assert root["duration"] >= 0.0
@@ -71,29 +74,29 @@ class TestSpans:
         assert child["counters"] == {"steps": 2}
 
     def test_string_counters_are_annotations_not_tallies(self):
-        enable()
-        with span("stage") as s:
-            s.add("kind", "minor")
-            s.add("kind", "major")  # last write wins
-        (root,) = take_roots()
+        with capture("run", force=True) as run:
+            with span("stage") as s:
+                s.add("kind", "minor")
+                s.add("kind", "major")  # last write wins
+        (root,) = run.record["children"]
         assert root["counters"]["kind"] == "major"
 
     def test_module_level_add_targets_innermost_span(self):
-        enable()
-        with span("outer"):
-            with span("inner"):
-                obs.add("hits", 3)
-        (root,) = take_roots()
+        with capture("run", force=True) as run:
+            with span("outer"):
+                with span("inner"):
+                    obs.add("hits", 3)
+        (root,) = run.record["children"]
         assert root["children"][0]["counters"] == {"hits": 3}
 
     def test_attach_record_preserves_call_order(self):
-        enable()
-        with span("parent"):
-            attach_record({"name": "w0", "duration": 0.0,
-                           "counters": {}, "children": []})
-            attach_record({"name": "w1", "duration": 0.0,
-                           "counters": {}, "children": []})
-        (root,) = take_roots()
+        with capture("run", force=True) as run:
+            with span("parent"):
+                attach_record({"name": "w0", "duration": 0.0,
+                               "counters": {}, "children": []})
+                attach_record({"name": "w1", "duration": 0.0,
+                               "counters": {}, "children": []})
+        (root,) = run.record["children"]
         assert [c["name"] for c in root["children"]] == ["w0", "w1"]
 
 
@@ -113,8 +116,15 @@ class TestCapture:
         assert run.record["name"] == "run"
         assert run.record["counters"] == {"size": 5}
         assert [c["name"] for c in run.record["children"]] == ["stage"]
-        # the capture owns its record: not also reported as a root
-        assert take_roots() == []
+        # the capture took its trace with it: nothing records after it
+        assert span("after") is NULL_SPAN
+
+    def test_a_run_that_raises_still_closes_its_trace(self):
+        with pytest.raises(ValueError):
+            with capture("run", force=True):
+                with span("stage"):
+                    raise ValueError("stage failed")
+        assert span("after") is NULL_SPAN
 
     def test_nested_capture_degrades_to_child_span(self):
         with capture("outer", force=True) as outer:
@@ -126,11 +136,106 @@ class TestCapture:
         assert [c["name"] for c in inner.record["children"]] == ["stage"]
 
 
+class TestThreads:
+    """Tracing belongs to the run: each thread's capture is private."""
+
+    def run_threads(self, *targets):
+        errors = []
+
+        def guarded(target):
+            try:
+                target()
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=guarded, args=(target,))
+                   for target in targets]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+
+    def test_overlapping_captures_keep_their_own_spans(self):
+        # A opens a capture and a span, then B does, then A closes
+        # first: one shared span stack would hand B an empty stack
+        a_open, b_open, a_closed = (threading.Event() for _ in range(3))
+        records = {}
+
+        def thread_a():
+            with capture("a", force=True) as run:
+                with span("a.stage"):
+                    a_open.set()
+                    assert b_open.wait(10)
+            records["a"] = run.record
+            a_closed.set()
+
+        def thread_b():
+            assert a_open.wait(10)
+            with capture("b", force=True) as run:
+                with span("b.stage"):
+                    b_open.set()
+                    assert a_closed.wait(10)
+            records["b"] = run.record
+
+        self.run_threads(thread_a, thread_b)
+        for name in ("a", "b"):
+            record = strip_wall_clock(records[name])
+            assert record == {
+                "name": name, "counters": {},
+                "children": [{"name": f"{name}.stage", "counters": {},
+                              "children": []}]}
+
+    def test_threads_trace_privately_under_a_short_switch_interval(self):
+        # more threads than cores, switching every microsecond: one
+        # shared stack would mix the trees or pop an empty one
+        def traced_runs(name):
+            def runs():
+                for index in range(2000):
+                    with capture(name, force=True, run=index) as run:
+                        with span("stage"):
+                            obs.add("steps")
+                            with span("inner"):
+                                obs.add("steps", 2)
+                    assert strip_wall_clock(run.record) == {
+                        "name": name, "counters": {"run": index},
+                        "children": [{
+                            "name": "stage", "counters": {"steps": 1},
+                            "children": [{"name": "inner",
+                                          "counters": {"steps": 2},
+                                          "children": []}]}]}
+            return runs
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            self.run_threads(*(traced_runs(f"t{n}") for n in range(8)))
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_other_threads_do_not_see_an_open_capture(self):
+        seen = []
+
+        def elsewhere():
+            seen.append(tracing_enabled())
+            seen.append(span("elsewhere") is NULL_SPAN)
+            with span("elsewhere"):
+                obs.add("hits")
+            attach_record(new_record("shipped"))
+
+        with capture("run", force=True) as run:
+            self.run_threads(elsewhere)
+            assert tracing_enabled()
+        assert seen == [False, True]
+        assert run.record["children"] == []
+        assert run.record["counters"] == {}
+
+
 class TestPmapTraces:
     def test_trace_tree_is_worker_count_invariant(self):
         trees = {}
         for workers in (1, 4):
-            reset_tracing()
             with capture("run", force=True) as run:
                 with span("fanout"):
                     results = pmap(_square, list(range(6)),
@@ -145,9 +250,16 @@ class TestPmapTraces:
             == list(range(6))
 
     def test_untraced_pmap_attaches_nothing(self):
-        assert pmap(_square, list(range(4)), workers=4) \
-            == [0, 1, 4, 9]
-        assert take_roots() == []
+        # the pmap runs on a thread of its own, outside the capture
+        # the main thread holds open
+        results = []
+        with capture("run", force=True) as run:
+            worker = threading.Thread(target=lambda: results.append(
+                pmap(_square, list(range(4)), workers=4)))
+            worker.start()
+            worker.join(60)
+        assert results == [[0, 1, 4, 9]]
+        assert run.record["children"] == []
 
 
 class TestMetrics:
@@ -230,8 +342,3 @@ class TestExport:
         assert set(breakdown) == {"stage.a", "stage.b"}
         total = sum(breakdown.values())
         assert total <= record["duration"]
-
-    def test_trace_env_variable_spellings(self):
-        from repro.obs.tracing import _env_truthy
-        assert all(_env_truthy(v) for v in ("1", "true", "YES", " on "))
-        assert not any(_env_truthy(v) for v in (None, "", "0", "no"))

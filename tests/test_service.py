@@ -31,6 +31,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from trace_schema import validate_service_body  # noqa: E402
 
+from repro.catapult import pipeline as catapult_pipeline  # noqa: E402
 from repro.core.pipeline import (  # noqa: E402
     PipelineConfig,
     run_catapult,
@@ -42,6 +43,7 @@ from repro.datasets import (  # noqa: E402
     generate_network,
 )
 from repro.graph.io import graph_to_dict  # noqa: E402
+from repro.obs import strip_wall_clock  # noqa: E402
 from repro.patterns.base import PatternBudget  # noqa: E402
 from repro.service import (  # noqa: E402
     PatternService,
@@ -78,6 +80,49 @@ def make_service(size=10, seed=7, config=None, **service_kwargs):
 
 def canonical_bytes(body):
     return wire.dumps(strip_volatile(body))
+
+
+def unhandled_errors(svc):
+    metrics = svc.dispatch("GET", "/v1/metrics").body["metrics"]
+    return metrics["counters"].get("service.errors.unhandled", 0)
+
+
+def network_body(config):
+    network = generate_network(NetworkConfig(nodes=60), seed=5)
+    return {"network": graph_to_dict(network), "config": config}
+
+
+#: ``/v1/build`` bodies whose config is malformed, each with the typed
+#: error it must map to: the checks run where configs enter, before
+#: any pipeline work.
+MALFORMED_BUILDS = {
+    "workers-string": ({"config": {"workers": "x"}}, "PipelineError"),
+    "max_retries-string": ({"config": {"max_retries": "x"}},
+                           "PipelineError"),
+    "max_embeddings-string": ({"config": {"max_embeddings": "x"}},
+                              "PipelineError"),
+    "deadline_s-string": ({"config": {"deadline_s": "x"}},
+                          "PipelineError"),
+    "seed-string": ({"config": {"seed": "abc"}}, "PipelineError"),
+    "budget-zero-patterns": (
+        {"config": {"budget": {"max_patterns": 0}}}, "BudgetError"),
+    "budget-min-above-max": (
+        {"config": {"budget": {"max_patterns": 4, "min_size": 9,
+                               "max_size": 2}}}, "BudgetError"),
+    "walks_per_cluster-string": (
+        {"config": {"options": {"walks_per_cluster": "x"}}},
+        "PipelineError"),
+    "clusters-string": ({"config": {"options": {"clusters": "x"}}},
+                        "PipelineError"),
+    "truss_threshold-string": (
+        network_body({"options": {"truss_threshold": "x"}}),
+        "PipelineError"),
+    "samples_scale-string": (
+        network_body({"options": {"samples_scale": "x"}}),
+        "PipelineError"),
+    "classes-unknown": (network_body({"options": {"classes": ["nope"]}}),
+                        "PipelineError"),
+}
 
 
 @pytest.fixture()
@@ -118,6 +163,15 @@ class TestRoutesAndBodies:
         assert response.status == 400
         assert response.body["error"]["type"] == "OptionError"
         assert "bogus_knob" in response.body["error"]["message"]
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_BUILDS))
+    def test_malformed_build_config_is_a_typed_400(self, service, case):
+        body, error_type = MALFORMED_BUILDS[case]
+        before = unhandled_errors(service)
+        response = service.dispatch("POST", "/v1/build", body)
+        assert response.status == 400, response.body
+        assert response.body["error"]["type"] == error_type
+        assert unhandled_errors(service) == before
 
     def test_every_body_carries_the_wire_schema(self, service):
         for method, path, body in [
@@ -182,13 +236,8 @@ class TestSessions:
             "delete_node-missing-node"])
     def test_malformed_action_is_a_structured_400(self, service, action,
                                                    field):
-        def unhandled():
-            counters = service.dispatch(
-                "GET", "/v1/metrics").body["metrics"]["counters"]
-            return counters.get("service.errors.unhandled", 0)
-
         sid = service.dispatch("POST", "/v1/sessions").body["session"]
-        before = unhandled()
+        before = unhandled_errors(service)
         response = service.dispatch(
             "POST", f"/v1/sessions/{sid}/actions", {"actions": [action]})
         assert response.status == 400
@@ -196,7 +245,7 @@ class TestSessions:
         assert error["type"] == "OptionError"
         assert action["op"] in error["message"]
         assert repr(field) in error["message"]
-        assert unhandled() == before
+        assert unhandled_errors(service) == before
 
     def test_session_query_and_suggest(self, service):
         sid = service.dispatch("POST", "/v1/sessions").body["session"]
@@ -268,6 +317,65 @@ class TestBuildEquivalence:
         assert trace["schema"] == WIRE_SCHEMA
         assert trace["traces"][0]["name"]
         assert validate_service_body(response.body) == []
+
+
+class TestTracedBuildIsolation:
+    """A traced build's trace is private to its request thread."""
+
+    TRACED = {"config": {"seed": 3, "trace": True}}
+
+    def test_overlapping_untraced_build_leaves_the_trace_alone(
+            self, monkeypatch):
+        # the traced build enters first; the untraced one waits inside
+        # its run until the traced response is back, then finishes
+        svc = make_service(max_inflight=2)
+        before = unhandled_errors(svc)
+        traced_in, untraced_in, traced_done = (
+            threading.Event() for _ in range(3))
+        summarize = catapult_pipeline.summarize_clusters
+
+        def gated_summarize(*args, **kwargs):
+            name = threading.current_thread().name
+            if name == "traced":
+                traced_in.set()
+                assert untraced_in.wait(30)
+            elif name == "untraced":
+                untraced_in.set()
+                assert traced_done.wait(30)
+            return summarize(*args, **kwargs)
+
+        monkeypatch.setattr(catapult_pipeline, "summarize_clusters",
+                            gated_summarize)
+        replies = {}
+
+        def traced():
+            replies["traced"] = svc.dispatch("POST", "/v1/build",
+                                             self.TRACED)
+            traced_done.set()
+
+        def untraced():
+            replies["untraced"] = svc.dispatch(
+                "POST", "/v1/build", {"config": {"seed": 3}})
+
+        threads = [threading.Thread(target=traced, name="traced")]
+        threads[0].start()
+        assert traced_in.wait(30)
+        threads.append(threading.Thread(target=untraced,
+                                        name="untraced"))
+        threads[1].start()
+        for thread in threads:
+            thread.join(60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert {name: reply.status for name, reply in replies.items()} \
+            == {"traced": 200, "untraced": 200}
+        assert unhandled_errors(svc) == before
+
+        alone = make_service().dispatch("POST", "/v1/build", self.TRACED)
+        assert alone.status == 200
+        (trace,) = replies["traced"].body["trace"]["traces"]
+        (expected,) = alone.body["trace"]["traces"]
+        assert strip_wall_clock(trace) == strip_wall_clock(expected)
+        assert "trace" not in replies["untraced"].body
 
 
 class TestSnapshotIsolation:

@@ -10,7 +10,8 @@ Layered like the store itself:
   warning, sealed-region damage quarantines, the manifest's
   checksum turns bit rot into a typed error;
 * **service recovery** — a durable service reopened after a clean
-  shutdown serves a byte-identical pattern panel;
+  shutdown serves a byte-identical pattern panel, also when a build
+  publishes while a maintenance batch is mid-commit;
 * **the crash matrix** — every scripted disk fault (``torn_write``,
   ``fsync_fail``, ``crash_after_n_records``, ``short_read``) at
   every durable site (WAL append/read, segment append/read, pattern
@@ -24,8 +25,11 @@ and ``=4``.
 
 import os
 import tempfile
+import threading
+import time
 import unittest
 import warnings
+from unittest import mock
 
 from repro.core.pipeline import PipelineConfig
 from repro.datasets import UpdateBatch, generate_chemical_repository
@@ -36,10 +40,17 @@ from repro.errors import (
     StoreWriteError,
 )
 from repro.graph.graph import Graph
+from repro.graph.io import graph_to_dict
 from repro.patterns.base import Pattern, PatternBudget, PatternSet
 from repro.perf.cache import graph_fingerprint
 from repro.resilience import FaultPlan, FaultSpec, chaos
-from repro.service import PatternService, strip_volatile, wire
+from repro.service import (
+    PatternService,
+    ServiceConfig,
+    handlers,
+    strip_volatile,
+    wire,
+)
 from repro.store import (
     DiskBackend,
     MemoryBackend,
@@ -462,6 +473,77 @@ class TestServiceRecovery(unittest.TestCase):
         service.close()
         recovered = disk_service(self.root)
         self.assertEqual(expected, pattern_bytes(recovered))
+        recovered.close()
+
+    def test_build_during_a_maintenance_commit_survives_a_restart(self):
+        # a build whose pipeline returns while a maintenance batch sits
+        # between its snapshot swap and its commit must publish after
+        # that commit, or the store recovers a state nobody served
+        service = PatternService(make_repo(),
+                                 PipelineConfig(budget=BUDGET, seed=3),
+                                 ServiceConfig(max_inflight=2),
+                                 backend=DiskBackend(self.root))
+        held, release, built = (threading.Event() for _ in range(3))
+        commit = service.backend.commit
+
+        def held_commit(*args, **kwargs):
+            if threading.current_thread().name == "maintain":
+                held.set()
+                self.assertTrue(release.wait(60))
+            return commit(*args, **kwargs)
+
+        run_catapult = handlers.run_catapult
+
+        def signalled_catapult(*args, **kwargs):
+            result = run_catapult(*args, **kwargs)
+            built.set()
+            return result
+
+        service.backend.commit = held_commit
+        batch = make_batch()
+        replies = {}
+
+        def post(path, body):
+            name = threading.current_thread().name
+            replies[name] = service.dispatch("POST", path, body)
+
+        maintain = threading.Thread(
+            name="maintain", target=post,
+            args=("/v1/patterns/maintain",
+                  {"add": [graph_to_dict(g) for g in batch.added],
+                   "remove": list(batch.removed)}))
+        build = threading.Thread(
+            name="build", target=post,
+            args=("/v1/build",
+                  {"repository": [graph_to_dict(g)
+                                  for g in make_repo(12, seed=5)],
+                   "config": {"seed": 3}}))
+        with mock.patch.object(handlers, "run_catapult",
+                               signalled_catapult):
+            maintain.start()
+            try:
+                self.assertTrue(held.wait(60))
+                build.start()
+                self.assertTrue(built.wait(60))
+                time.sleep(0.2)  # room for a build that skips the lock
+            finally:
+                release.set()
+            for thread in (maintain, build):
+                thread.join(60)
+                self.assertFalse(thread.is_alive())
+        self.assertEqual({"maintain": 200, "build": 200},
+                         {name: reply.status
+                          for name, reply in replies.items()})
+
+        def served(svc):
+            current = svc.snapshots.current()
+            return ([pattern.code for pattern in current.patterns],
+                    [graph.name for graph in current.repository])
+
+        live = served(service)
+        service.close()
+        recovered = disk_service(self.root)
+        self.assertEqual(live, served(recovered))
         recovered.close()
 
 

@@ -39,10 +39,13 @@ trace-smoke:
 # deterministic fault-injection suite at two worker counts: the same
 # seeded fault plan must produce the same recovery serially and in a
 # process pool (DESIGN.md, "Resilience"); the 4-worker leg also runs
-# the pmap, cache, trace and pipeline suites through the pool
+# the pmap, cache, trace and pipeline suites through the pool, and the
+# service suite, where handler threads hold the registry and cache
+# locks while a /v1/build forks its pool
 POOL_SMOKE_TESTS = tests/test_resilience.py tests/test_perf.py \
 	tests/test_compact.py tests/test_obs.py tests/test_catapult.py \
-	tests/test_tattoo.py tests/test_midas.py tests/test_pipeline_api.py
+	tests/test_tattoo.py tests/test_midas.py tests/test_pipeline_api.py \
+	tests/test_service.py
 
 chaos-smoke:
 	REPRO_WORKERS=1 PYTHONPATH=src $(PYTHON) -m pytest -x -q \

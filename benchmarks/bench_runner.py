@@ -57,9 +57,9 @@ from repro.datasets import (
     generate_network,
     generate_update_stream,
 )
+from repro import obs
 from repro.obs import matching_snapshot, stage_breakdown, write_trace
 from repro.patterns import PatternBudget
-from repro.perf import clear_match_cache
 from tests.oracles import legacy_pickle_payload
 
 WORKER_COUNTS = (1, 4)
@@ -145,7 +145,7 @@ def run_catapult(smoke: bool,
     walks = 10 if smoke else 30
     runs = {}
     for workers in WORKER_COUNTS:
-        clear_match_cache()
+        obs.reset(clear_cache_entries=True)
         before = matching_snapshot()
         config = PipelineConfig(budget=budget, seed=1, workers=workers,
                                 options={"walks_per_cluster": walks})
@@ -160,7 +160,7 @@ def run_catapult(smoke: bool,
     experiment["payload"] = _payload_profile(list(repo))
     experiment["peak_rss_kb"] = _peak_rss_kb()
     if traces is not None:
-        clear_match_cache()
+        obs.reset(clear_cache_entries=True)
         config = PipelineConfig(budget=budget, seed=1, trace=True,
                                 options={"walks_per_cluster": walks})
         result = pipeline.run_catapult(repo, config)
@@ -179,7 +179,7 @@ def run_tattoo(smoke: bool,
     budget = PatternBudget(5, min_size=4, max_size=8)
     runs = {}
     for workers in WORKER_COUNTS:
-        clear_match_cache()
+        obs.reset(clear_cache_entries=True)
         before = matching_snapshot()
         config = PipelineConfig(budget=budget, seed=1, workers=workers)
         result, wall = _timed(
@@ -193,7 +193,7 @@ def run_tattoo(smoke: bool,
     experiment["payload"] = _payload_profile([network])
     experiment["peak_rss_kb"] = _peak_rss_kb()
     if traces is not None:
-        clear_match_cache()
+        obs.reset(clear_cache_entries=True)
         config = PipelineConfig(budget=budget, seed=1, trace=True)
         result = pipeline.run_tattoo(network, config)
         traces.append(result.trace)
@@ -214,7 +214,7 @@ def run_midas(smoke: bool,
     budget = PatternBudget(5, min_size=4, max_size=8)
 
     def drive(workers: int, trace: bool):
-        clear_match_cache()
+        obs.reset(clear_cache_entries=True)
         repo = generate_chemical_repository(initial, seed=31)
         config = PipelineConfig(budget=budget, seed=2, workers=workers,
                                 trace=trace)
@@ -269,7 +269,7 @@ def run_deadline(smoke: bool) -> Dict[str, object]:
     budget = PatternBudget(5, min_size=4, max_size=8)
     walks = 10 if smoke else 30
 
-    clear_match_cache()
+    obs.reset(clear_cache_entries=True)
     config = PipelineConfig(budget=budget, seed=1,
                             options={"walks_per_cluster": walks})
     full, wall = _timed(lambda: pipeline.run_catapult(repo, config))
@@ -282,7 +282,7 @@ def run_deadline(smoke: bool) -> Dict[str, object]:
     }
     nonempty = len(full.patterns) > 0
     for fraction in (0.5, 0.25):
-        clear_match_cache()
+        obs.reset(clear_cache_entries=True)
         bounded = PipelineConfig(budget=budget, seed=1,
                                  deadline_s=max(wall * fraction, 1e-4),
                                  options={"walks_per_cluster": walks})

@@ -3,7 +3,6 @@
 from repro.matching.canonical import (
     canonical_code,
     canonical_form,
-    reset_canonical_memo_stats,
 )
 from repro.matching.edit_distance import (
     MAX_EXACT_NODES,
@@ -19,7 +18,6 @@ from repro.matching.isomorphism import (
     find_embedding,
     is_subgraph,
     labels_compatible,
-    reset_kernel_stats,
     subgraph_embeddings,
 )
 
@@ -29,7 +27,6 @@ __all__ = [
     "are_isomorphic",
     "canonical_code",
     "canonical_form",
-    "reset_canonical_memo_stats",
     "MAX_EXACT_NODES",
     "ged_similarity",
     "graph_edit_distance",
@@ -38,6 +35,5 @@ __all__ = [
     "find_embedding",
     "is_subgraph",
     "labels_compatible",
-    "reset_kernel_stats",
     "subgraph_embeddings",
 ]

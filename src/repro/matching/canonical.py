@@ -19,6 +19,7 @@ from typing import Dict, List, Tuple
 from weakref import WeakKeyDictionary
 
 from repro.graph.graph import Graph
+from repro.obs import metrics
 
 #: Per-object memo for :func:`canonical_code`, invalidated through the
 #: graph's mutation counter.  Clustering and dedup loops recompute the
@@ -27,19 +28,6 @@ from repro.graph.graph import Graph
 #: pays to unify distinct-but-equal objects.
 _code_memo: "WeakKeyDictionary[Graph, Tuple[int, str]]" = \
     WeakKeyDictionary()
-
-_memo_counters = {"hits": 0, "misses": 0}
-
-
-def _memo_snapshot() -> Dict[str, int]:
-    """Hit/miss counters of the per-object memo (internal; the
-    documented surface is :func:`repro.obs.snapshot`)."""
-    return dict(_memo_counters)
-
-
-def reset_canonical_memo_stats() -> None:
-    _memo_counters["hits"] = 0
-    _memo_counters["misses"] = 0
 
 
 def _refine(graph: Graph, colors: Dict[int, int]) -> Dict[int, int]:
@@ -149,9 +137,9 @@ def canonical_code(graph: Graph) -> str:
     version = graph.version()
     cached = _code_memo.get(graph)
     if cached is not None and cached[0] == version:
-        _memo_counters["hits"] += 1
+        metrics.inc("matching.canonical_memo_hits")
         return cached[1]
-    _memo_counters["misses"] += 1
+    metrics.inc("matching.canonical_memo_misses")
     search = _CanonicalSearch(graph)
     search.run()
     _code_memo[graph] = (version, search.best_code)

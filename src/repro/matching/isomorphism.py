@@ -41,33 +41,10 @@ from bisect import bisect_left
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from repro.graph.graph import Graph
+from repro.obs import metrics
 from repro.resilience.chaos import site as chaos_site
 
 WILDCARD = "*"
-
-#: Process-global kernel instrumentation.  ``feasibility_checks``
-#: counts per-candidate feasibility evaluations (the unit the
-#: kernel-counter tests gate), ``recursive_calls`` counts backtracking
-#: extensions, and ``candidates_pruned`` counts target nodes excluded
-#: before feasibility was ever evaluated (pool construction plus
-#: anchor-intersection filtering).
-_kernel_counters = {
-    "feasibility_checks": 0,
-    "recursive_calls": 0,
-    "candidates_pruned": 0,
-}
-
-
-def _kernel_snapshot() -> Dict[str, int]:
-    """Snapshot of the matching-kernel counters (internal; the
-    documented surface is :func:`repro.obs.snapshot`)."""
-    return dict(_kernel_counters)
-
-
-def reset_kernel_stats() -> None:
-    """Zero the matching-kernel counters."""
-    for key in _kernel_counters:
-        _kernel_counters[key] = 0
 
 
 def labels_compatible(pattern_label: str, target_label: str) -> bool:
@@ -113,6 +90,12 @@ class SubgraphMatcher:
         Graphs to match; the pattern is the smaller query structure.
     induced:
         Use induced-subgraph semantics (see module docstring).
+
+    Work is counted on the matcher — ``feasibility_checks``,
+    ``recursive_calls`` (backtracking extensions) and
+    ``candidates_pruned`` (target nodes excluded before feasibility)
+    — and added to the metrics registry, then zeroed, when an
+    enumeration ends, is closed or is dropped.
     """
 
     def __init__(self, pattern: Graph, target: Graph,
@@ -120,6 +103,9 @@ class SubgraphMatcher:
         self.pattern = pattern
         self.target = target
         self.induced = induced
+        self.feasibility_checks = 0
+        self.recursive_calls = 0
+        self.candidates_pruned = 0
         self._order = _matching_order(pattern)
         # pattern neighbors already matched when a node is placed
         self._placed_before: List[List[int]] = []
@@ -187,7 +173,7 @@ class SubgraphMatcher:
                 pool.append(p)
             self._pools[u] = tuple(pool)
             self._pool_sets[u] = frozenset(pool)
-            _kernel_counters["candidates_pruned"] += n_target - len(pool)
+            self.candidates_pruned += n_target - len(pool)
 
     def _build_edge_requirements(self) -> None:
         """Intern every pattern edge label against the target table.
@@ -220,7 +206,7 @@ class SubgraphMatcher:
         over ``t``'s sorted neighbor slice (the found slot indexes the
         aligned ``edge_label_ids`` run).
         """
-        _kernel_counters["feasibility_checks"] += 1
+        self.feasibility_checks += 1
         if t in used:
             return False
         neighbors = self._csr_neighbors
@@ -254,16 +240,26 @@ class SubgraphMatcher:
         ``max_results`` caps enumeration (None = unbounded).  The empty
         pattern yields exactly one empty mapping.
         """
-        if self.pattern.order() > self.target.order():
-            return
-        if self.pattern.order() == 0:
-            yield {}
-            return
-        yield from self._extend({}, set(), 0, [max_results])
+        try:
+            if self.pattern.order() > self.target.order():
+                return
+            if self.pattern.order() == 0:
+                yield {}
+                return
+            yield from self._extend({}, set(), 0, [max_results])
+        finally:
+            metrics.inc("matching.feasibility_checks",
+                        self.feasibility_checks)
+            metrics.inc("matching.recursive_calls", self.recursive_calls)
+            metrics.inc("matching.candidates_pruned",
+                        self.candidates_pruned)
+            self.feasibility_checks = 0
+            self.recursive_calls = 0
+            self.candidates_pruned = 0
 
     def _extend(self, mapping: Dict[int, int], used: Set[int], depth: int,
                 remaining: List[Optional[int]]) -> Iterator[Dict[int, int]]:
-        _kernel_counters["recursive_calls"] += 1
+        self.recursive_calls += 1
         if remaining[0] is not None and remaining[0] <= 0:
             return
         u = self._order[depth]
@@ -321,8 +317,7 @@ class SubgraphMatcher:
         first_hi = offsets[first + 1]
         pool = [p for p in self._ins_neighbors[first_lo:first_hi]
                 if p in members]
-        _kernel_counters["candidates_pruned"] += \
-            (first_hi - first_lo) - len(pool)
+        self.candidates_pruned += (first_hi - first_lo) - len(pool)
         return pool
 
 

@@ -1,68 +1,79 @@
 """Process-local metrics registry: counters, gauges, timers.
 
-One registry per process accumulates named metrics from every
-subsystem — pipeline stages, :func:`repro.perf.pmap` dispatch, the
-coverage index, swap scans — and :func:`snapshot` folds in the live
-matching-stack counters (match cache, VF2 kernel, canonical-code
-memo) so a single call observes the whole library.
+One registry per process is the one store of process-wide counts:
+every subsystem — pipeline stages, :func:`repro.perf.pmap` dispatch,
+the coverage index, swap scans, the VF2 kernel, the canonical-code
+memo — adds to it, and :func:`snapshot` folds in the match cache's
+own hit/miss counters so a single call observes the whole library.
 
 Metric names are dotted, lowercase, subsystem-first:
 ``perf.pmap.calls``, ``patterns.coverage.patterns_indexed``,
-``midas.swap.scans``.  All operations are dict updates — cheap enough
-to stay always-on (the match cache has always counted hits this way);
-the zero-overhead-when-disabled contract applies to *tracing*, which
-is the per-span cost.
+``matching.vf2_calls``.  Handler threads of :mod:`repro.service`
+update the registry concurrently, so every operation takes its one
+lock; hot loops (the matcher, greedy selection, MIDAS swapping) count
+on their own and add their totals once.  A :func:`repro.perf.pmap`
+pool item runs against a zeroed registry in its worker and ships the
+counters it made home, where the coordinator adds them in input
+order.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Union
+import os
+import threading
+from typing import Dict, Union
 
 Number = Union[int, float]
 
 
 class MetricsRegistry:
     """Named counters (monotonic), gauges (last value), and timers
-    (count/total/min/max of observed durations)."""
+    (count/total/min/max of observed durations), behind one lock."""
 
-    __slots__ = ("counters", "gauges", "timers")
+    __slots__ = ("counters", "gauges", "timers", "lock")
 
     def __init__(self) -> None:
         self.counters: Dict[str, Number] = {}
         self.gauges: Dict[str, Number] = {}
         self.timers: Dict[str, Dict[str, Number]] = {}
+        self.lock = threading.Lock()
 
     def inc(self, name: str, value: Number = 1) -> None:
-        self.counters[name] = self.counters.get(name, 0) + value
+        with self.lock:
+            self.counters[name] = self.counters.get(name, 0) + value
 
     def set_gauge(self, name: str, value: Number) -> None:
-        self.gauges[name] = value
+        with self.lock:
+            self.gauges[name] = value
 
     def observe(self, name: str, seconds: float) -> None:
-        timer = self.timers.get(name)
-        if timer is None:
-            self.timers[name] = {"count": 1, "total": seconds,
-                                 "min": seconds, "max": seconds}
-            return
-        timer["count"] += 1
-        timer["total"] += seconds
-        timer["min"] = min(timer["min"], seconds)
-        timer["max"] = max(timer["max"], seconds)
+        with self.lock:
+            timer = self.timers.get(name)
+            if timer is None:
+                self.timers[name] = {"count": 1, "total": seconds,
+                                     "min": seconds, "max": seconds}
+                return
+            timer["count"] += 1
+            timer["total"] += seconds
+            timer["min"] = min(timer["min"], seconds)
+            timer["max"] = max(timer["max"], seconds)
 
     def reset(self) -> None:
-        self.counters.clear()
-        self.gauges.clear()
-        self.timers.clear()
+        with self.lock:
+            self.counters.clear()
+            self.gauges.clear()
+            self.timers.clear()
 
     def snapshot(self) -> Dict[str, object]:
         """Deterministically-ordered copy of every registered metric."""
-        return {
-            "counters": {k: self.counters[k]
-                         for k in sorted(self.counters)},
-            "gauges": {k: self.gauges[k] for k in sorted(self.gauges)},
-            "timers": {k: dict(self.timers[k])
-                       for k in sorted(self.timers)},
-        }
+        with self.lock:
+            return {
+                "counters": {k: self.counters[k]
+                             for k in sorted(self.counters)},
+                "gauges": {k: self.gauges[k] for k in sorted(self.gauges)},
+                "timers": {k: dict(self.timers[k])
+                           for k in sorted(self.timers)},
+            }
 
     def __repr__(self) -> str:
         return (f"<MetricsRegistry counters={len(self.counters)} "
@@ -70,6 +81,15 @@ class MetricsRegistry:
 
 
 _registry = MetricsRegistry()
+
+
+def _fresh_lock_in_child() -> None:
+    # fork copies the lock in whatever state another thread left it;
+    # held, the child's only thread would wait on it forever
+    _registry.lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_fresh_lock_in_child)
 
 
 def registry() -> MetricsRegistry:
@@ -92,6 +112,13 @@ def observe(name: str, seconds: float) -> None:
     _registry.observe(name, seconds)
 
 
+#: The matching-stack work counts, kept in the registry as
+#: ``matching.<name>`` and reported again under ``"matching"``.
+_MATCHING_COUNTERS = ("vf2_calls", "feasibility_checks",
+                      "recursive_calls", "candidates_pruned",
+                      "canonical_memo_hits", "canonical_memo_misses")
+
+
 def matching_snapshot() -> Dict[str, float]:
     """Live counters of the whole matching stack, in one flat dict:
     match-cache occupancy and hit/miss/eviction counts, real VF2
@@ -99,48 +126,39 @@ def matching_snapshot() -> Dict[str, float]:
     canonical-code memo's hits/misses, and — as ``pairs_pruned`` —
     the (pattern, graph) pairs coverage indexing skipped outright on
     the compact label tables (the VF2-call delta those prunes bought).
-
-    Imports lazily so ``repro.obs`` itself stays dependency-free.
     """
-    from repro.matching.canonical import _memo_snapshot
-    from repro.matching.isomorphism import _kernel_snapshot
-    from repro.perf.cache import get_match_cache, vf2_calls
-
-    stats: Dict[str, float] = get_match_cache().stats()
-    stats["vf2_calls"] = vf2_calls()
-    stats.update(_kernel_snapshot())
-    memo = _memo_snapshot()
-    stats["canonical_memo_hits"] = memo["hits"]
-    stats["canonical_memo_misses"] = memo["misses"]
-    stats["pairs_pruned"] = _registry.counters.get(
-        "patterns.coverage.pairs_pruned", 0)
-    return stats
+    return snapshot()["matching"]
 
 
 def snapshot() -> Dict[str, object]:
     """One view of every observable counter in the process: the
-    metrics registry plus the matching stack under ``"matching"``."""
+    metrics registry plus the matching stack under ``"matching"``.
+
+    Imports lazily so ``repro.obs`` itself stays dependency-free.
+    """
+    from repro.perf.cache import get_match_cache
+
     data = _registry.snapshot()
-    data["matching"] = matching_snapshot()
+    counters = data["counters"]
+    stats = get_match_cache().stats()
+    for name in _MATCHING_COUNTERS:
+        stats[name] = counters.get(f"matching.{name}", 0)
+    stats["pairs_pruned"] = counters.get(
+        "patterns.coverage.pairs_pruned", 0)
+    data["matching"] = stats
     return data
 
 
 def reset(clear_cache_entries: bool = False) -> None:
-    """Zero the registry and every matching-stack counter.
+    """Zero the registry and the match cache's stats.
 
     Cached match *entries* survive by default (they stay valid);
-    ``clear_cache_entries=True`` evicts them too, matching
-    :func:`repro.perf.clear_match_cache`.
+    ``clear_cache_entries=True`` evicts them too.
     """
-    from repro.matching.canonical import reset_canonical_memo_stats
-    from repro.matching.isomorphism import reset_kernel_stats
-    from repro.perf.cache import get_match_cache, reset_vf2_calls
+    from repro.perf.cache import get_match_cache
 
     _registry.reset()
     cache = get_match_cache()
     if clear_cache_entries:
         cache.clear()
     cache.reset_stats()
-    reset_vf2_calls()
-    reset_kernel_stats()
-    reset_canonical_memo_stats()

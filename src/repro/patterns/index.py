@@ -40,37 +40,50 @@ def _required_labels(graph: Graph) -> FrozenSet[str]:
                      if label != WILDCARD)
 
 
+def _index_pattern(code: str, pattern_graph: Graph,
+                   graphs: Sequence[Graph],
+                   graph_labels: Sequence[FrozenSet[str]],
+                   max_embeddings: int,
+                   cache: Optional[MatchCache]) -> Dict[int, EdgeSet]:
+    """Covered edges of one pattern per graph index, counting the
+    pairs matched and pruned in the registry where it runs (see
+    :meth:`CoverageIndex.add_pattern`)."""
+    required = _required_labels(pattern_graph)
+    entry: Dict[int, EdgeSet] = {}
+    pairs = pruned = 0
+    for idx, graph in enumerate(graphs):
+        if pattern_graph.order() > graph.order():
+            continue
+        if not required <= graph_labels[idx]:
+            pruned += 1
+            continue
+        covered = cached_covered_edges(
+            pattern_graph, graph, pattern_code=code,
+            max_embeddings=max_embeddings, cache=cache)
+        pairs += 1
+        if covered:
+            entry[idx] = covered
+    metrics.inc("patterns.coverage.patterns_indexed")
+    metrics.inc("patterns.coverage.pairs", pairs)
+    metrics.inc("patterns.coverage.pairs_pruned", pruned)
+    return entry
+
+
 def _coverage_chunk_task(payload):
     """Index one chunk of patterns (module-level: runs in workers).
 
     ``payload`` is ``(graphs, [(code, pattern_graph), ...],
-    max_embeddings, use_cache)``; returns one ``(code, [(graph_index,
-    covered_edges), ...], pairs, pruned)`` tuple per pattern.  Workers
-    use their process-global cache so accesses are recorded into the
-    item's delta when the coordinating ``pmap`` runs in merge mode.
+    max_embeddings, use_cache)``; returns one ``(code, {graph_index:
+    covered_edges})`` pair per pattern.  Workers use their
+    process-global cache so accesses are recorded into the item's
+    delta when the coordinating ``pmap`` runs in merge mode.
     """
     graphs, chunk, max_embeddings, use_cache = payload
     cache = get_match_cache() if use_cache else None
     graph_labels = [graph.compact().label_set() for graph in graphs]
-    out = []
-    for code, pattern_graph in chunk:
-        required = _required_labels(pattern_graph)
-        entry = []
-        pairs = pruned = 0
-        for idx, graph in enumerate(graphs):
-            if pattern_graph.order() > graph.order():
-                continue
-            if not required <= graph_labels[idx]:
-                pruned += 1
-                continue
-            covered = cached_covered_edges(
-                pattern_graph, graph, pattern_code=code,
-                max_embeddings=max_embeddings, cache=cache)
-            pairs += 1
-            if covered:
-                entry.append((idx, covered))
-        out.append((code, entry, pairs, pruned))
-    return out
+    return [(code, _index_pattern(code, pattern_graph, graphs,
+                                  graph_labels, max_embeddings, cache))
+            for code, pattern_graph in chunk]
 
 
 class CoverageIndex:
@@ -142,25 +155,9 @@ class CoverageIndex:
         """
         if pattern.code in self._cover:
             return
-        required = _required_labels(pattern.graph)
-        entry: Dict[int, EdgeSet] = {}
-        pairs = pruned = 0
-        for idx, graph in enumerate(self.graphs):
-            if pattern.order() > graph.order():
-                continue
-            if not required <= self._graph_labels[idx]:
-                pruned += 1
-                continue
-            covered = cached_covered_edges(
-                pattern.graph, graph, pattern_code=pattern.code,
-                max_embeddings=self.max_embeddings, cache=self._cache)
-            pairs += 1
-            if covered:
-                entry[idx] = covered
-        self._cover[pattern.code] = entry
-        metrics.inc("patterns.coverage.patterns_indexed")
-        metrics.inc("patterns.coverage.pairs", pairs)
-        metrics.inc("patterns.coverage.pairs_pruned", pruned)
+        self._cover[pattern.code] = _index_pattern(
+            pattern.code, pattern.graph, self.graphs, self._graph_labels,
+            self.max_embeddings, self._cache)
 
     def add_patterns(self, patterns: Iterable[Pattern],
                      workers: Optional[int] = None,
@@ -217,12 +214,7 @@ class CoverageIndex:
                     for pattern in chunks[start + offset]:
                         self.add_pattern(pattern)
                     continue
-                for code, entry, pairs, pruned in outcome:
-                    self._cover[code] = dict(entry)
-                    metrics.inc("patterns.coverage.patterns_indexed")
-                    metrics.inc("patterns.coverage.pairs", pairs)
-                    metrics.inc("patterns.coverage.pairs_pruned",
-                                pruned)
+                self._cover.update(outcome)
 
     def is_indexed(self, pattern: Pattern) -> bool:
         return pattern.code in self._cover

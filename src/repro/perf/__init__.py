@@ -47,13 +47,9 @@ from repro.perf.cache import (
     cached_canonical_code,
     cached_covered_edges,
     cached_is_subgraph,
-    clear_match_cache,
     get_match_cache,
     graph_fingerprint,
-    reset_vf2_calls,
-    vf2_calls,
 )
-from repro.matching.isomorphism import reset_kernel_stats
 from repro.perf.executor import (
     FAILURE_POLICIES,
     ItemFailure,
@@ -73,14 +69,10 @@ __all__ = [
     "cached_canonical_code",
     "cached_covered_edges",
     "cached_is_subgraph",
-    "clear_match_cache",
     "derive_seed",
     "derive_seeds",
     "get_match_cache",
     "graph_fingerprint",
     "pmap",
-    "reset_kernel_stats",
-    "reset_vf2_calls",
     "resolve_workers",
-    "vf2_calls",
 ]

@@ -54,6 +54,8 @@ other threads never see it) and the accesses count directly.
 from __future__ import annotations
 
 import hashlib
+import os
+import threading
 from collections import OrderedDict
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -63,11 +65,8 @@ from weakref import WeakKeyDictionary
 from repro.errors import OptionError
 from repro.graph.graph import Graph
 from repro.matching.canonical import canonical_code
-from repro.matching.isomorphism import (
-    covered_edges,
-    find_embedding,
-    reset_kernel_stats,
-)
+from repro.matching.isomorphism import covered_edges, find_embedding
+from repro.obs import metrics
 from repro.resilience.chaos import site as chaos_site
 
 EdgeSet = FrozenSet[Tuple[int, int]]
@@ -77,20 +76,6 @@ DEFAULT_MAX_ENTRIES = 50_000
 
 _fingerprints: "WeakKeyDictionary[Graph, Tuple[int, str]]" = \
     WeakKeyDictionary()
-
-#: Count of actual (non-memoized) VF2 matcher invocations made
-#: through this module, cached or not — the instrumentation the
-#: fewer-calls-with-cache tests assert against.
-_vf2_counter = {"calls": 0}
-
-
-def vf2_calls() -> int:
-    """Number of real VF2 searches performed via this module."""
-    return _vf2_counter["calls"]
-
-
-def reset_vf2_calls() -> None:
-    _vf2_counter["calls"] = 0
 
 
 def _compute_fingerprint(graph: Graph) -> str:
@@ -154,10 +139,11 @@ class CacheDelta:
 
 
 class MatchCache:
-    """Bounded LRU cache for match results with hit/miss counters."""
+    """Bounded LRU cache for match results with hit/miss counters;
+    each operation holds the cache's one lock (threads share it)."""
 
     __slots__ = ("max_entries", "_entries", "hits", "misses", "evictions",
-                 "_recorder")
+                 "_recorder", "_lock")
 
     def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES) -> None:
         if max_entries < 1:
@@ -170,30 +156,33 @@ class MatchCache:
         # active CacheDelta while inside recording(); counters are
         # suspended then — the coordinator's replay does the counting
         self._recorder: Optional[CacheDelta] = None
+        self._lock = threading.Lock()
 
     def lookup(self, key: Tuple) -> Tuple[bool, object]:
         """(found, value); found misses are counted."""
-        if key in self._entries:
-            self._entries.move_to_end(key)
-            if self._recorder is not None:
-                self._recorder.record(key, self._entries[key])
-            else:
-                self.hits += 1
-            return True, self._entries[key]
-        if self._recorder is None:
-            self.misses += 1
-        return False, None
+        with self._lock:
+            if key in self._entries:
+                self._entries.move_to_end(key)
+                if self._recorder is not None:
+                    self._recorder.record(key, self._entries[key])
+                else:
+                    self.hits += 1
+                return True, self._entries[key]
+            if self._recorder is None:
+                self.misses += 1
+            return False, None
 
     def store(self, key: Tuple, value: object) -> None:
-        recorder = self._recorder
-        if recorder is not None:
-            recorder.record(key, value)
-        self._entries[key] = value
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-            if recorder is None:
-                self.evictions += 1
+        with self._lock:
+            recorder = self._recorder
+            if recorder is not None:
+                recorder.record(key, value)
+            self._entries[key] = value
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.max_entries:
+                self._entries.popitem(last=False)
+                if recorder is None:
+                    self.evictions += 1
 
     @contextmanager
     def recording(self, delta: CacheDelta) -> Iterator[CacheDelta]:
@@ -222,18 +211,19 @@ class MatchCache:
         """
         entries = self._entries
         hits = misses = 0
-        for key, value in delta.entries:
-            if key in entries:
-                entries.move_to_end(key)
-                hits += 1
-            else:
-                entries[key] = value
-                misses += 1
-                while len(entries) > self.max_entries:
-                    entries.popitem(last=False)
-                    self.evictions += 1
-        self.hits += hits
-        self.misses += misses
+        with self._lock:
+            for key, value in delta.entries:
+                if key in entries:
+                    entries.move_to_end(key)
+                    hits += 1
+                else:
+                    entries[key] = value
+                    misses += 1
+                    while len(entries) > self.max_entries:
+                        entries.popitem(last=False)
+                        self.evictions += 1
+            self.hits += hits
+            self.misses += misses
         return {"hits": hits, "misses": misses}
 
     def hot_entries(self, limit: Optional[int] = None
@@ -244,7 +234,8 @@ class MatchCache:
         ``limit`` (None = everything), ordered so that feeding it to
         :meth:`seed` reproduces this cache's recency order.
         """
-        items = list(self._entries.items())
+        with self._lock:
+            items = list(self._entries.items())
         if limit is not None and len(items) > limit:
             items = items[len(items) - limit:]
         return items
@@ -257,11 +248,12 @@ class MatchCache:
         cost only, never the merged hit/miss accounting.
         """
         entries = self._entries
-        for key, value in pairs:
-            entries[key] = value
-            entries.move_to_end(key)
-        while len(entries) > self.max_entries:
-            entries.popitem(last=False)
+        with self._lock:
+            for key, value in pairs:
+                entries[key] = value
+                entries.move_to_end(key)
+            while len(entries) > self.max_entries:
+                entries.popitem(last=False)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -270,24 +262,27 @@ class MatchCache:
         return key in self._entries
 
     def clear(self) -> None:
-        self._entries.clear()
+        with self._lock:
+            self._entries.clear()
 
     def reset_stats(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
+        with self._lock:
+            self.hits = 0
+            self.misses = 0
+            self.evictions = 0
 
     def stats(self) -> Dict[str, float]:
         """Counters plus occupancy; ``hit_rate`` in [0, 1]."""
-        total = self.hits + self.misses
-        return {
-            "entries": len(self._entries),
-            "max_entries": self.max_entries,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "hit_rate": self.hits / total if total else 0.0,
-        }
+        with self._lock:
+            total = self.hits + self.misses
+            return {
+                "entries": len(self._entries),
+                "max_entries": self.max_entries,
+                "hits": self.hits,
+                "misses": self.misses,
+                "evictions": self.evictions,
+                "hit_rate": self.hits / total if total else 0.0,
+            }
 
     def __repr__(self) -> str:
         return (f"<MatchCache entries={len(self._entries)} "
@@ -295,6 +290,15 @@ class MatchCache:
 
 
 _global_cache = MatchCache()
+
+
+def _fresh_lock_in_child() -> None:
+    # fork copies the lock in whatever state another thread left it;
+    # held, the child's only thread would wait on it forever
+    _global_cache._lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_fresh_lock_in_child)
 
 #: The caller's ``cache_merge`` while :func:`repro.perf.pmap` runs an
 #: item in-process; context-local, so no other thread ever sees it.
@@ -321,14 +325,6 @@ def _bind_match_cache(cache: Optional[MatchCache]) -> Iterator[None]:
         _bound_cache.reset(token)
 
 
-def clear_match_cache() -> None:
-    """Drop all global entries and zero every counter."""
-    _global_cache.clear()
-    _global_cache.reset_stats()
-    reset_vf2_calls()
-    reset_kernel_stats()
-
-
 def cached_covered_edges(pattern: Graph, target: Graph,
                          pattern_code: Optional[str] = None,
                          max_embeddings: Optional[int] = 200,
@@ -341,7 +337,7 @@ def cached_covered_edges(pattern: Graph, target: Graph,
     ``cache=None`` disables memoization but still counts the VF2 call.
     """
     if cache is None:
-        _vf2_counter["calls"] += 1
+        metrics.inc("matching.vf2_calls")
         return frozenset(covered_edges(pattern, target,
                                        max_embeddings=max_embeddings))
     if pattern_code is None:
@@ -350,7 +346,7 @@ def cached_covered_edges(pattern: Graph, target: Graph,
     found, value = cache.lookup(key)
     if found:
         return value  # type: ignore[return-value]
-    _vf2_counter["calls"] += 1
+    metrics.inc("matching.vf2_calls")
     result = frozenset(covered_edges(pattern, target,
                                      max_embeddings=max_embeddings))
     cache.store(key, result)
@@ -371,7 +367,7 @@ def cached_is_subgraph(pattern: Graph, target: Graph,
     """
     chaos_site("matching.is_subgraph")
     if cache is None:
-        _vf2_counter["calls"] += 1
+        metrics.inc("matching.vf2_calls")
         return find_embedding(pattern, target, induced=induced) is not None
     if pattern_code is None:
         pattern_code = cached_canonical_code(pattern, cache=cache)
@@ -379,7 +375,7 @@ def cached_is_subgraph(pattern: Graph, target: Graph,
     found, value = cache.lookup(key)
     if found:
         return bool(value)
-    _vf2_counter["calls"] += 1
+    metrics.inc("matching.vf2_calls")
     result = find_embedding(pattern, target, induced=induced) is not None
     cache.store(key, result)
     return result

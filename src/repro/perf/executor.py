@@ -17,16 +17,17 @@ Worker functions must be module-level (picklable) and pure: they
 receive one picklable item and return one picklable result.
 
 Every item runs through one attempt runner, in one of two legs.  In
-the *pool* leg each item is one future; its trace subtree and every
+the *pool* leg each item is one future; its trace subtree, every
 match-cache access of all its attempts (one :class:`repro.perf.cache.
-CacheDelta`) ship back with the result, and the coordinator re-attaches
-and replays them in input order.  In the *in-process* leg spans attach
-in place and cache accesses go straight to the caller's
-``cache_merge``, which :func:`repro.perf.cache.get_match_cache`
-returns while the call runs, in the calling context only — nothing
-rebinds the process-global cache.  Either way the merged trace is
-identical to a serial one up to wall-clock fields, and the cache
-counters are identical at every worker count.
+CacheDelta`) and the metrics-registry counters they made ship back
+with the result, and the coordinator re-attaches, replays and adds
+them in input order.  In the *in-process* leg spans attach in place,
+counters go straight to the registry, and cache accesses go straight
+to the caller's ``cache_merge``, which :func:`repro.perf.cache.
+get_match_cache` returns while the call runs, in the calling context
+only — nothing rebinds the process-global cache.  Either way the
+merged trace is identical to a serial one up to wall-clock fields,
+and the cache and work counters are identical at every worker count.
 
 A failing item climbs one deterministic ladder at every worker count:
 attempts ``0..max_retries`` run where the item runs, with seeded
@@ -48,10 +49,11 @@ import pickle
 import time
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
-from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, \
+    TypeVar
 
 from repro.errors import OptionError, WorkerFailure
-from repro.obs.metrics import inc as _metric_inc
+from repro.obs.metrics import inc as _metric_inc, registry
 from repro.perf.cache import (
     CacheDelta,
     MatchCache,
@@ -99,9 +101,9 @@ _RETRY_BASE_S = 0.001
 #: cache-merge mode.
 _CACHE_SEED_LIMIT = 512
 
-#: ``(status, attempts_used, value, trace_record, cache_delta)``.
+#: ``(status, attempts_used, value, trace_record, delta, counters)``.
 _Outcome = Tuple[str, int, object, Optional[SpanRecord],
-                 Optional[CacheDelta]]
+                 Optional[CacheDelta], Optional[Dict[str, float]]]
 
 
 def resolve_workers(workers: Optional[int] = None) -> int:
@@ -259,17 +261,20 @@ def _run_attempts(fn: Callable, index: int, item: object,
 
 def _pool_entry(payload) -> _Outcome:
     """Pool-worker entry: run all of an item's attempts with every
-    cache access recorded into one delta, and ship the outcome, trace
-    record and delta back — every component picklable by
-    construction."""
+    cache access recorded into one delta and every count into the
+    registry, zeroed first (it holds the fork's copy of the
+    coordinator's counts, or the previous item's), and ship the
+    outcome, trace record, delta and counters back — every component
+    picklable by construction."""
     (fn, index, item, attempts, seed, site_name, plan, traced,
      merge) = payload
     delta = CacheDelta() if merge else None
+    registry().reset()
     with (get_match_cache().recording(delta) if delta is not None
           else nullcontext()):
         outcome = _run_attempts(fn, index, item, 0, attempts, seed,
                                 site_name, plan, ship_record=traced)
-    return outcome + (delta,)
+    return outcome + (delta, registry().snapshot()["counters"])
 
 
 def _pool_outcomes(fn: Callable, work: List, workers: int,
@@ -311,7 +316,7 @@ def _pool_outcomes(fn: Callable, work: List, workers: int,
                 outcomes[index] = (
                     "timeout", attempts,
                     f"WorkerFailure: item {index} exceeded "
-                    f"{item_timeout_s}s timeout", None, None)
+                    f"{item_timeout_s}s timeout", None, None, None)
                 for later in range(index + 1, len(futures)):
                     other = futures[later]
                     if (other.done() and not other.cancelled()
@@ -379,6 +384,9 @@ def pmap(fn: Callable[[T], R], items: Sequence[T],
         coordinator replays into it in input order — so its hit/miss
         counters move identically at every worker count.
 
+    The registry counters a pool item makes, over all of its
+    attempts, ship home and are added in input order.
+
     The return value is exactly ``[fn(item) for item in items]``; the
     pool is an implementation detail that can never change the result.
     With ``on_item_failure="skip"`` the contract weakens per failed
@@ -411,11 +419,13 @@ def pmap(fn: Callable[[T], R], items: Sequence[T],
                 status, used, value, _ = _run_attempts(
                     fn, index, item, 0, attempts, retry_seed, site, plan)
             else:
-                status, used, value, record, delta = outcome
+                status, used, value, record, delta, counts = outcome
                 if record is not None:
                     attach_record(record)
                 if cache_merge is not None and delta is not None:
                     cache_merge.merge_delta(delta)
+                for name, count in (counts or {}).items():
+                    _metric_inc(name, count)
             if status == "fail":
                 # one in-process re-run, continuing the global attempt
                 # numbering (a timed-out fn is assumed genuinely stuck

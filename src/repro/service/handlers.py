@@ -12,7 +12,7 @@ log replay, and direct in-process calls from tests.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from repro.core.pipeline import run_catapult, run_tattoo
 from repro.datasets.evolving import UpdateBatch
@@ -165,10 +165,10 @@ def handle_query(service, request: Request) -> Dict[str, object]:
     else:
         raise OptionError("pass a query graph or a session id")
     max_embeddings = _int_field(body, "max_embeddings",
-                                service.pipeline.max_embeddings)
+                                service.pipeline.max_embeddings, low=1)
     max_matches = body.get("max_matches")
     if max_matches is not None:
-        max_matches = _int_field(body, "max_matches", 0)
+        max_matches = _int_field(body, "max_matches", 0, low=1)
     results = snapshot.engine.run(
         query, max_embeddings_per_graph=max_embeddings,
         max_matches=max_matches)
@@ -195,7 +195,7 @@ def handle_query(service, request: Request) -> Dict[str, object]:
 
 def handle_suggest(service, request: Request) -> Dict[str, object]:
     body = request.body
-    top_k = _int_field(body, "top_k", 5)
+    top_k = _int_field(body, "top_k", 5, low=1)
     if body.get("session") is not None:
         session = service.sessions.get(body["session"])
         snapshot = session.snapshot
@@ -268,13 +268,19 @@ def _optional_str(body: Dict[str, object], key: str):
     return None if value is None else str(value)
 
 
-def _int_field(body: Dict[str, object], key: str, default: int) -> int:
+def _int_field(body: Dict[str, object], key: str, default: int,
+               low: Optional[int] = None) -> int:
+    """``body[key]`` as an int of at least ``low``; anything else is
+    the client's mistake (:class:`OptionError`, HTTP 400)."""
     value = body.get(key, default)
     try:
-        return int(value)  # type: ignore[arg-type]
-    except (TypeError, ValueError) as exc:
+        number = int(value)  # type: ignore[arg-type]
+    except (TypeError, ValueError, OverflowError) as exc:
         raise OptionError(f"{key} must be an integer, "
                           f"got {value!r}") from exc
+    if low is not None and number < low:
+        raise OptionError(f"{key} must be at least {low}, got {number}")
+    return number
 
 
 def _list_of_dicts(value: object, context: str) -> List[Dict[str, object]]:

@@ -34,10 +34,10 @@ from repro.graph.graph import Graph, edge_key
 from repro.matching import isomorphism
 from repro.matching.isomorphism import (
     WILDCARD,
-    _kernel_counters,
     _matching_order,
     labels_compatible,
 )
+from repro.obs import metrics
 from repro.patterns import selection
 from repro.patterns.base import Pattern, PatternBudget
 from repro.patterns.selection import SetScorer, _Sweep
@@ -50,8 +50,8 @@ class LegacyMatcher:
 
     Same constructor and :meth:`iter_embeddings` contract as
     :class:`repro.matching.isomorphism.SubgraphMatcher`, and the same
-    ``feasibility_checks`` / ``recursive_calls`` accounting, so kernel
-    counters compare like for like.
+    ``matching.feasibility_checks`` / ``matching.recursive_calls``
+    registry counters, so kernel counters compare like for like.
     """
 
     def __init__(self, pattern: Graph, target: Graph,
@@ -81,7 +81,7 @@ class LegacyMatcher:
 
     def _feasible(self, u: int, t: int, mapping: Dict[int, int],
                   used: Set[int], matched_nbrs: List[int]) -> bool:
-        _kernel_counters["feasibility_checks"] += 1
+        metrics.inc("matching.feasibility_checks")
         if t in used:
             return False
         if not labels_compatible(self.pattern.node_label(u),
@@ -117,7 +117,7 @@ class LegacyMatcher:
 
     def _extend(self, mapping: Dict[int, int], used: Set[int], depth: int,
                 remaining: List[Optional[int]]) -> Iterator[Dict[int, int]]:
-        _kernel_counters["recursive_calls"] += 1
+        metrics.inc("matching.recursive_calls")
         if remaining[0] is not None and remaining[0] <= 0:
             return
         u = self._order[depth]

@@ -134,8 +134,8 @@ class TestPerObjectMemo:
     """canonical_code is memoized per object, keyed by version()."""
 
     def setup_method(self):
-        from repro.matching import reset_canonical_memo_stats
-        reset_canonical_memo_stats()
+        from repro import obs
+        obs.reset()
 
     def test_repeat_calls_hit_the_memo(self):
         g = gnm_random_graph(7, 10, random.Random(3), labels=["A", "B"])

@@ -31,7 +31,8 @@ from repro.core import pipeline
 from repro.core.pipeline import PipelineConfig
 from repro.datasets import NetworkConfig, generate_chemical_repository, \
     generate_network, sample_connected_subgraph
-from repro.obs import matching_snapshot, metrics
+from repro import obs
+from repro.obs import metrics
 from repro.patterns import (
     CoverageIndex,
     Pattern,
@@ -41,7 +42,6 @@ from repro.patterns import (
     greedy_select,
 )
 from repro.patterns.selection import DEADLINE_POLL_EVERY, SELECT_SITE
-from repro.perf import clear_match_cache
 from repro.resilience import Deadline
 from repro.resilience.chaos import FaultPlan, FaultSpec, chaos
 from tests.oracles import legacy_kernel, naive_selection
@@ -176,7 +176,8 @@ class PipelineOracles(unittest.TestCase):
     Under :func:`naive_selection` every sweep is the quadratic one:
     the pattern sequences must be identical, in selection order.  The
     deterministic work counts are pinned (the indexed kernel's as a
-    no-regression ceiling) and the lazy sweep must save >= 3x.
+    no-regression ceiling), the lazy sweep must save >= 3x, and every
+    count reads the same at workers 1 and 4.
     """
 
     #: deterministic work counts per workload and implementation
@@ -186,8 +187,9 @@ class PipelineOracles(unittest.TestCase):
     NAIVE_EVALUATIONS = {"catapult": 340, "tattoo": 625}
     MIN_REDUCTION = 3
 
-    def run_workloads(self):
-        """workload -> (codes, feasibility checks, evaluations)."""
+    def run_workloads(self, workers=1):
+        """workload -> (codes, feasibility checks, evaluations,
+        ``obs.snapshot()`` after the run)."""
         repo = generate_chemical_repository(30, seed=7)
         network = generate_network(NetworkConfig(
             nodes=150, cliques=4, petals=3, flowers=3), seed=2)
@@ -195,22 +197,23 @@ class PipelineOracles(unittest.TestCase):
         runs = {
             "catapult": lambda: pipeline.run_catapult(
                 repo, PipelineConfig(
-                    budget=budget, seed=1, workers=1,
+                    budget=budget, seed=1, workers=workers,
                     options={"walks_per_cluster": 10})),
             "tattoo": lambda: pipeline.run_tattoo(
                 network, PipelineConfig(budget=budget, seed=1,
-                                        workers=1)),
+                                        workers=workers)),
         }
-        counters = metrics.registry().counters
         results = {}
         for workload, run in sorted(runs.items()):
-            clear_match_cache()  # also zeroes the kernel counters
-            before = counters.get("patterns.greedy.evaluations", 0)
+            obs.reset(clear_cache_entries=True)
             codes = run().patterns.codes()
+            snapshot = obs.snapshot()
             results[workload] = (
-                codes, matching_snapshot()["feasibility_checks"],
-                counters.get("patterns.greedy.evaluations", 0) - before)
-        clear_match_cache()
+                codes, snapshot["matching"]["feasibility_checks"],
+                snapshot["counters"].get("patterns.greedy.evaluations",
+                                         0),
+                snapshot)
+        obs.reset(clear_cache_entries=True)
         return results
 
     def test_pipelines_match_both_oracles(self):
@@ -219,7 +222,7 @@ class PipelineOracles(unittest.TestCase):
             legacy = self.run_workloads()
         with naive_selection():
             naive = self.run_workloads()
-        for workload, (codes, checks, evaluations) in shipped.items():
+        for workload, (codes, checks, evaluations, _) in shipped.items():
             with self.subTest(workload=workload):
                 self.assertEqual(sorted(legacy[workload][0]),
                                  sorted(codes))
@@ -235,6 +238,24 @@ class PipelineOracles(unittest.TestCase):
                 self.assertGreaterEqual(
                     naive[workload][2],
                     self.MIN_REDUCTION * evaluations)
+
+    def test_work_counts_are_worker_count_invariant(self):
+        """Counts made in pool workers come home: the matching stack
+        and every registry counter but pmap's own dispatch counts
+        read the same at workers 1 and 4."""
+        def work_counts(snapshot):
+            return snapshot["matching"], {
+                name: value
+                for name, value in snapshot["counters"].items()
+                if not name.startswith("perf.pmap.")}
+
+        serial = self.run_workloads(workers=1)
+        pooled = self.run_workloads(workers=4)
+        for workload, (codes, _, _, snapshot) in serial.items():
+            with self.subTest(workload=workload):
+                self.assertEqual(codes, pooled[workload][0])
+                self.assertEqual(work_counts(snapshot),
+                                 work_counts(pooled[workload][3]))
 
 
 class IncrementalScorer(unittest.TestCase):

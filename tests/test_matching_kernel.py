@@ -25,8 +25,8 @@ from repro.matching import (
     SubgraphMatcher,
     covered_edges,
     labels_compatible,
-    reset_kernel_stats,
 )
+from repro import obs
 from repro.obs import matching_snapshot
 from tests.oracles import LegacyMatcher
 
@@ -230,7 +230,7 @@ class TestKernelCounters:
         pattern = gnm_random_graph(5, 6, rng, labels=["A", "B", "C"])
         checks = {}
         for matcher in MATCHERS:
-            reset_kernel_stats()
+            obs.reset()
             list(matcher(pattern, target).iter_embeddings(
                 max_results=None))
             checks[matcher] = kernel_counters()["feasibility_checks"]
@@ -244,7 +244,7 @@ class TestKernelCounters:
         for name, pattern, target, induced in smoke_cases():
             found = {}
             for matcher in MATCHERS:
-                reset_kernel_stats()
+                obs.reset()
                 found[matcher] = sorted(
                     tuple(sorted(m.items())) for m in matcher(
                         pattern, target, induced=induced
@@ -257,7 +257,7 @@ class TestKernelCounters:
                 >= MIN_REDUCTION * checks[SubgraphMatcher])
 
     def test_counters_reset_and_accumulate(self):
-        reset_kernel_stats()
+        obs.reset()
         assert kernel_counters() == {"feasibility_checks": 0,
                                      "recursive_calls": 0,
                                      "candidates_pruned": 0}
@@ -269,8 +269,7 @@ class TestKernelCounters:
         assert stats["feasibility_checks"] > 0
 
     def test_counters_surface_through_perf_cache_stats(self):
-        from repro.perf import clear_match_cache
-        clear_match_cache()
+        obs.reset(clear_cache_entries=True)
         stats = matching_snapshot()
         for key in KERNEL_COUNTERS + ("canonical_memo_hits",
                                       "canonical_memo_misses"):
@@ -309,11 +308,11 @@ class TestCoveredEdgesEarlyExit:
         # P2 in K5 saturates coverage long before the embedding cap
         target = complete_graph(5, label="A")
         pattern = build_graph([(0, "A"), (1, "A")], edges=[(0, 1)])
-        reset_kernel_stats()
+        obs.reset()
         covered = covered_edges(pattern, target, max_embeddings=None)
         saturated_calls = kernel_counters()["recursive_calls"]
         assert covered == set(target.edges())
-        reset_kernel_stats()
+        obs.reset()
         list(SubgraphMatcher(pattern, target)
              .iter_embeddings(max_results=None))
         full_calls = kernel_counters()["recursive_calls"]

@@ -6,12 +6,17 @@ inside a capture and cost one context-variable read outside one;
 each thread's capture is private, so overlapping traced runs never
 mix their trees; traces are identical at every ``pmap`` worker count
 once wall-clock fields are stripped; the metrics registry resets
-without touching cached match entries; and ``repro.obs.snapshot()``
-subsumes the legacy stats endpoints.
+without touching cached match entries, counts exactly under threads,
+survives a fork taken while another thread holds its lock, and
+receives the counts ``pmap`` pool items make; and
+``repro.obs.snapshot()`` subsumes the legacy stats endpoints.
 """
 
+import os
+import signal
 import sys
 import threading
+import time
 
 import pytest
 
@@ -29,7 +34,7 @@ from repro.obs import (
     write_trace,
 )
 from repro.obs.export import format_trace, stage_breakdown, trace_envelope
-from repro.perf import pmap
+from repro.perf import get_match_cache, pmap
 from tests.trace_schema import validate_envelope, validate_record
 
 
@@ -43,6 +48,32 @@ def _no_open_capture():
 
 def _square(x):
     return x * x
+
+
+def _count_item(x):
+    metrics.inc("test.pool_item")
+    return x
+
+
+def run_threads(*targets):
+    """Run each target on its own thread; every one must finish
+    within 10 s without raising."""
+    errors = []
+
+    def guarded(target):
+        try:
+            target()
+        except Exception as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=guarded, args=(target,))
+               for target in targets]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(10)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
 
 
 class TestSpans:
@@ -139,24 +170,6 @@ class TestCapture:
 class TestThreads:
     """Tracing belongs to the run: each thread's capture is private."""
 
-    def run_threads(self, *targets):
-        errors = []
-
-        def guarded(target):
-            try:
-                target()
-            except Exception as exc:  # noqa: BLE001 - reported below
-                errors.append(exc)
-
-        threads = [threading.Thread(target=guarded, args=(target,))
-                   for target in targets]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(10)
-        assert not any(thread.is_alive() for thread in threads)
-        assert errors == []
-
     def test_overlapping_captures_keep_their_own_spans(self):
         # A opens a capture and a span, then B does, then A closes
         # first: one shared span stack would hand B an empty stack
@@ -179,7 +192,7 @@ class TestThreads:
                     assert a_closed.wait(10)
             records["b"] = run.record
 
-        self.run_threads(thread_a, thread_b)
+        run_threads(thread_a, thread_b)
         for name in ("a", "b"):
             record = strip_wall_clock(records[name])
             assert record == {
@@ -210,7 +223,7 @@ class TestThreads:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            self.run_threads(*(traced_runs(f"t{n}") for n in range(8)))
+            run_threads(*(traced_runs(f"t{n}") for n in range(8)))
         finally:
             sys.setswitchinterval(interval)
 
@@ -225,7 +238,7 @@ class TestThreads:
             attach_record(new_record("shipped"))
 
         with capture("run", force=True) as run:
-            self.run_threads(elsewhere)
+            run_threads(elsewhere)
             assert tracing_enabled()
         assert seen == [False, True]
         assert run.record["children"] == []
@@ -297,6 +310,76 @@ class TestMetrics:
         assert counters["perf.pmap.calls"] > 0
         assert counters["patterns.greedy.calls"] >= 1
         assert counters["patterns.coverage.patterns_indexed"] > 0
+
+
+class TestOneCounterStore:
+    """Handler threads and pool workers all count into the registry."""
+
+    def test_concurrent_increments_are_exact(self):
+        # more threads than cores, switching every microsecond: an
+        # unlocked read-modify-write loses increments here
+        obs.reset()
+
+        def bump():
+            for _ in range(50_000):
+                obs.inc("test.concurrent")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            run_threads(*[bump] * 8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert metrics.registry().counters["test.concurrent"] == 400_000
+
+    @pytest.mark.parametrize("lock_of", [
+        lambda: metrics.registry().lock,
+        lambda: get_match_cache()._lock,
+    ], ids=["registry", "match-cache"])
+    def test_fork_while_another_thread_holds_the_lock(self, lock_of):
+        # pmap forks its pool while handler threads may hold either
+        # lock; the child must not inherit it held
+        lock = lock_of()
+        held, release = threading.Event(), threading.Event()
+
+        def hold():
+            with lock:
+                held.set()
+                release.wait(10)
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        try:
+            assert held.wait(5)
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    obs.inc("test.forked")
+                    get_match_cache().lookup(("test", "forked"))
+                    code = 0
+                finally:
+                    os._exit(code)
+            deadline = time.monotonic() + 5
+            while True:
+                done, status = os.waitpid(pid, os.WNOHANG)
+                if done:
+                    break
+                if time.monotonic() > deadline:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+                    pytest.fail("the forked child hung on a copied lock")
+                time.sleep(0.01)
+            assert os.waitstatus_to_exitcode(status) == 0
+        finally:
+            release.set()
+            holder.join(10)
+        assert not holder.is_alive()
+
+    def test_pool_items_ship_their_counts_home(self):
+        obs.reset()
+        assert pmap(_count_item, range(8), workers=2) == list(range(8))
+        assert metrics.registry().counters["test.pool_item"] == 8
 
 
 class TestExport:

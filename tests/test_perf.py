@@ -12,10 +12,12 @@ allowed to exist by (DESIGN.md):
 """
 
 import random
+import sys
 import threading
 
 import pytest
 
+from repro import obs
 from repro.core import PipelineConfig, run_catapult, run_tattoo
 from repro.datasets import (
     NetworkConfig,
@@ -38,9 +40,7 @@ from repro.perf import (
     get_match_cache,
     graph_fingerprint,
     pmap,
-    reset_vf2_calls,
     resolve_workers,
-    vf2_calls,
 )
 from repro.perf.executor import WORKERS_ENV
 
@@ -182,10 +182,10 @@ class TestPmapCacheMerge:
         for filler in range(600):
             cache.store(("filler", filler), filler)
         cache.reset_stats()
-        reset_vf2_calls()
+        obs.reset()
         assert pmap(_probe_subgraph, [(pattern, target, code)], workers=1,
                     cache_merge=cache) == [expected]
-        assert vf2_calls() == 0
+        assert obs.matching_snapshot()["vf2_calls"] == 0
         assert (cache.hits, cache.misses) == (1, 0)
 
 
@@ -216,6 +216,38 @@ class TestMatchCache:
     def test_rejects_unusable_bound(self):
         with pytest.raises(ValueError):
             MatchCache(max_entries=0)
+
+    def test_concurrent_access_is_exact(self):
+        # two slots, five keys, eight threads switching every
+        # microsecond: evictions land between every other thread's
+        # steps, so an unlocked lookup or store raises KeyError
+        cache = MatchCache(max_entries=2)
+        errors = []
+
+        def hammer(offset):
+            try:
+                for step in range(50_000):
+                    key = ("k", (step + offset) % 5)
+                    cache.lookup(key)
+                    cache.store(key, step)
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=hammer, args=(offset,))
+                   for offset in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert cache.hits + cache.misses == 400_000
+        assert len(cache) == 2
 
 
 def _triangle(labels=("C", "C", "O")):
@@ -265,11 +297,12 @@ class TestCachedMatchers:
         pattern = _triangle()
         target = generate_chemical_repository(1, seed=3)[0]
         cache = MatchCache()
-        reset_vf2_calls()
+        obs.reset()
         cached_covered_edges(pattern, target, cache=cache)
-        assert vf2_calls() == 1
+        assert obs.matching_snapshot()["vf2_calls"] == 1
         cached_covered_edges(pattern, target, cache=cache)
-        assert vf2_calls() == 1  # answered from the cache
+        # answered from the cache
+        assert obs.matching_snapshot()["vf2_calls"] == 1
 
     def test_canonical_code_agrees(self):
         g = _triangle()
@@ -338,14 +371,14 @@ class TestVf2CallReduction:
 
     def _greedy_twice(self, repo, candidates, budget, cache, use_cache):
         """Two back-to-back selections, as MIDAS's scans do."""
-        reset_vf2_calls()
+        obs.reset()
         selections = []
         for _ in range(2):
             index = CoverageIndex(repo, max_embeddings=20, cache=cache,
                                   use_cache=use_cache)
             selections.append(greedy_select(candidates, budget,
                                             SetScorer(index)))
-        return selections, vf2_calls()
+        return selections, obs.matching_snapshot()["vf2_calls"]
 
     def test_fewer_vf2_calls_with_cache(self, small_repo):
         result = _catapult(small_repo)

@@ -19,6 +19,7 @@ under ``REPRO_WORKERS=1`` and ``=4`` — ``make chaos-smoke``).
 import time
 import unittest
 
+from repro import obs
 from repro.core import pipeline
 from repro.core.pipeline import PipelineConfig
 from repro.datasets import (
@@ -28,8 +29,7 @@ from repro.datasets import (
 )
 from repro.errors import BudgetExceeded, OptionError, WorkerFailure
 from repro.patterns import PatternBudget
-from repro.perf import ItemFailure, clear_match_cache, get_match_cache, \
-    pmap
+from repro.perf import ItemFailure, get_match_cache, pmap
 from repro.perf.executor import backoff_s
 from repro.resilience import (
     CORRUPTED,
@@ -223,7 +223,7 @@ class TestPipelineChaos(unittest.TestCase):
     """The matrix against CATAPULT/TATTOO end to end."""
 
     def catapult(self, plan=None, **cfg):
-        clear_match_cache()
+        obs.reset(clear_cache_entries=True)
         config = PipelineConfig(budget=_budget(), seed=3, **cfg)
         if plan is None:
             return pipeline.run_catapult(self.repo, config)
@@ -300,7 +300,7 @@ class TestDeadlinePipelines(unittest.TestCase):
         undegraded."""
         walls = []
         for _ in range(3):
-            clear_match_cache()
+            obs.reset(clear_cache_entries=True)
             start = time.perf_counter()
             full = run()
             walls.append(time.perf_counter() - start)
@@ -314,7 +314,7 @@ class TestDeadlinePipelines(unittest.TestCase):
         wall = self.fastest_wall(
             lambda: pipeline.run_catapult(repo, config))
         for fraction in (0.5, 0.25):
-            clear_match_cache()
+            obs.reset(clear_cache_entries=True)
             bounded = PipelineConfig(
                 budget=budget, seed=3,
                 deadline_s=max(wall * fraction, 1e-4))
@@ -332,7 +332,7 @@ class TestDeadlinePipelines(unittest.TestCase):
         wall = self.fastest_wall(
             lambda: pipeline.run_tattoo(network, config))
         for fraction in (0.5, 0.25):
-            clear_match_cache()
+            obs.reset(clear_cache_entries=True)
             bounded = PipelineConfig(
                 budget=budget, seed=3,
                 deadline_s=max(wall * fraction, 1e-4))
@@ -343,7 +343,7 @@ class TestDeadlinePipelines(unittest.TestCase):
     def test_zero_deadline_still_returns_patterns(self):
         # the pathological floor: "at least one unit, then check"
         repo = _small_repo()
-        clear_match_cache()
+        obs.reset(clear_cache_entries=True)
         config = PipelineConfig(budget=_budget(), seed=3,
                                 deadline_s=1e-6)
         result = pipeline.run_catapult(repo, config)
@@ -358,7 +358,7 @@ class TestDistributedChaos(unittest.TestCase):
         cls.budget = _budget()
 
     def run_distributed(self, plan=None, **kwargs):
-        clear_match_cache()
+        obs.reset(clear_cache_entries=True)
         config = TattooConfig(seed=3, **kwargs)
         if plan is None:
             return select_patterns_distributed(

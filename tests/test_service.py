@@ -125,6 +125,21 @@ MALFORMED_BUILDS = {
 }
 
 
+#: Integer request fields outside their range, one per route and
+#: field: ``1e999`` parses as infinity, which ``int()`` overflows on.
+OUT_OF_RANGE = [
+    ("/v1/query", "max_matches", 0),
+    ("/v1/query", "max_matches", -3),
+    ("/v1/query", "max_matches", json.loads("1e999")),
+    ("/v1/query", "max_embeddings", 0),
+    ("/v1/query", "max_embeddings", -1),
+    ("/v1/query", "max_embeddings", json.loads("1e999")),
+    ("/v1/suggest", "top_k", 0),
+    ("/v1/suggest", "top_k", -1),
+    ("/v1/suggest", "top_k", json.loads("1e999")),
+]
+
+
 @pytest.fixture()
 def service():
     svc = make_service()
@@ -171,6 +186,20 @@ class TestRoutesAndBodies:
         response = service.dispatch("POST", "/v1/build", body)
         assert response.status == 400, response.body
         assert response.body["error"]["type"] == error_type
+        assert unhandled_errors(service) == before
+
+    @pytest.mark.parametrize("path, field, value", OUT_OF_RANGE)
+    def test_out_of_range_integer_is_a_typed_400(self, service, path,
+                                                 field, value):
+        panel = service.dispatch("GET", "/v1/patterns").body["patterns"]
+        body = ({"query": panel[0]["graph"]} if path == "/v1/query"
+                else {"label": "C"})
+        body[field] = value
+        before = unhandled_errors(service)
+        response = service.dispatch("POST", path, body)
+        assert response.status == 400, response.body
+        assert response.body["error"]["type"] == "OptionError"
+        assert field in response.body["error"]["message"]
         assert unhandled_errors(service) == before
 
     def test_every_body_carries_the_wire_schema(self, service):

@@ -4,6 +4,8 @@ CATAPULT clusters a repository using frequent-subtree feature vectors;
 MIDAS replaces plain frequent subtrees with *frequent closed trees*
 (FCT, Bifet & Gavalda 2011) because the closure property allows
 incremental maintenance of the feature vocabulary under batch updates.
+Both read :func:`subtree_census`, the one place subtrees are
+enumerated and coded, kept as a view of each graph.
 """
 
 from __future__ import annotations
@@ -60,6 +62,27 @@ def connected_tree_subgraphs(graph: Graph, max_edges: int = DEFAULT_TREE_EDGES
         size += 1
 
 
+def subtree_census(graph: Graph, max_edges: int = DEFAULT_TREE_EDGES
+                   ) -> Dict[str, Tuple[int, FrozenSet]]:
+    """``{code: (occurrences, first edge subset)}`` over the subtrees
+    of ``graph`` with 1..max_edges edges.
+
+    Codes appear in the order :func:`connected_tree_subgraphs` first
+    meets them; the subset is the first one realising the code.
+    Memoized as the graph's ``("subtree_census", max_edges)``
+    :meth:`~repro.graph.graph.Graph.view`: treat it as read-only.
+    """
+    def take(target: Graph) -> Dict[str, Tuple[int, FrozenSet]]:
+        census: Dict[str, Tuple[int, FrozenSet]] = {}
+        for subset, subtree in connected_tree_subgraphs(target, max_edges):
+            code = canonical_code(subtree)
+            count, first = census.get(code, (0, subset))
+            census[code] = (count + 1, first)
+        return census
+
+    return graph.view(("subtree_census", max_edges), take)
+
+
 def tree_feature_counts(graph: Graph,
                         max_edges: int = DEFAULT_TREE_EDGES
                         ) -> Dict[str, int]:
@@ -68,11 +91,8 @@ def tree_feature_counts(graph: Graph,
     Keys are canonical codes; values count distinct edge subsets
     realising that subtree.
     """
-    counts: Dict[str, int] = {}
-    for _, subtree in connected_tree_subgraphs(graph, max_edges):
-        code = canonical_code(subtree)
-        counts[code] = counts.get(code, 0) + 1
-    return counts
+    return {code: count for code, (count, _)
+            in subtree_census(graph, max_edges).items()}
 
 
 class MinedTree:
@@ -98,21 +118,9 @@ def mine_frequent_trees(repository: Sequence[Graph], min_support: int = 2,
     Support is per-graph (document frequency), the convention of
     frequent-subgraph mining.
     """
-    supports: Dict[str, int] = {}
-    representatives: Dict[str, Graph] = {}
-    for graph in repository:
-        seen_here: Set[str] = set()
-        for _, subtree in connected_tree_subgraphs(graph, max_edges):
-            code = canonical_code(subtree)
-            if code in seen_here:
-                continue
-            seen_here.add(code)
-            supports[code] = supports.get(code, 0) + 1
-            if code not in representatives:
-                representatives[code] = subtree.normalized()
-    return [MinedTree(code, representatives[code], support)
-            for code, support in sorted(supports.items())
-            if support >= min_support]
+    index = FCTIndex(min_support, max_edges)
+    index.build(repository)
+    return index.frequent_trees()
 
 
 def closed_frequent_trees(mined: Sequence[MinedTree]) -> List[MinedTree]:
@@ -136,6 +144,76 @@ def closed_frequent_trees(mined: Sequence[MinedTree]) -> List[MinedTree]:
         if is_closed:
             closed.append(tree)
     return closed
+
+
+class FCTIndex:
+    """Supports of all subtrees, with frequent-closed-tree views.
+
+    The index stores *all* subtree supports (document frequency) so a
+    batch update only needs the tree codes of the touched graphs.
+    """
+
+    def __init__(self, min_support: int = 2,
+                 max_edges: int = DEFAULT_TREE_EDGES) -> None:
+        self.min_support = min_support
+        self.max_edges = max_edges
+        self._supports: Dict[str, int] = {}
+        self._representatives: Dict[str, Graph] = {}
+        self._graph_count = 0
+
+    # -- bookkeeping ------------------------------------------------------
+    def _codes_of(self, graph: Graph) -> Dict[str, Tuple[int, FrozenSet]]:
+        census = subtree_census(graph, self.max_edges)
+        for code, (_, subset) in census.items():
+            if code not in self._representatives:
+                self._representatives[code] = \
+                    edge_subgraph(graph, subset).normalized()
+        return census
+
+    def build(self, repository: Sequence[Graph]) -> None:
+        """Initialise from a full repository."""
+        self._supports.clear()
+        self._representatives.clear()
+        self._graph_count = 0
+        for graph in repository:
+            self.add_graph(graph)
+
+    def add_graph(self, graph: Graph) -> None:
+        """Account for one added graph."""
+        for code in self._codes_of(graph):
+            self._supports[code] = self._supports.get(code, 0) + 1
+        self._graph_count += 1
+
+    def remove_graph(self, graph: Graph) -> None:
+        """Account for one removed graph."""
+        for code in self._codes_of(graph):
+            remaining = self._supports.get(code, 0) - 1
+            if remaining <= 0:
+                self._supports.pop(code, None)
+            else:
+                self._supports[code] = remaining
+        self._graph_count -= 1
+
+    # -- views --------------------------------------------------------------
+    @property
+    def graph_count(self) -> int:
+        return self._graph_count
+
+    def support(self, code: str) -> int:
+        return self._supports.get(code, 0)
+
+    def frequent_trees(self) -> List[MinedTree]:
+        """All frequent subtrees at the current min_support."""
+        return [MinedTree(code, self._representatives[code], support)
+                for code, support in sorted(self._supports.items())
+                if support >= self.min_support]
+
+    def frequent_closed(self) -> List[MinedTree]:
+        """The frequent *closed* trees (the clustering vocabulary)."""
+        return closed_frequent_trees(self.frequent_trees())
+
+    def __len__(self) -> int:
+        return len(self._supports)
 
 
 def feature_vector_from_vocabulary(graph: Graph,

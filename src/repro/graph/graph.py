@@ -18,10 +18,13 @@ Design notes
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import (
     Any,
+    Callable,
     Dict,
     FrozenSet,
+    Hashable,
     Iterable,
     Iterator,
     List,
@@ -64,11 +67,8 @@ class Graph:
     (3, 3)
     """
 
-    # __weakref__ lets repro.perf memoize per-graph fingerprints
-    # without pinning graphs in memory
     __slots__ = ("name", "_adj", "_node_labels", "_node_attrs",
-                 "_edge_labels", "_edge_attrs", "_version", "_views",
-                 "__weakref__")
+                 "_edge_labels", "_edge_attrs", "_version", "_views")
 
     def __init__(self, name: str = "") -> None:
         self.name = name
@@ -79,7 +79,7 @@ class Graph:
         self._edge_attrs: Dict[Tuple[int, int], Dict[str, Any]] = {}
         self._version = 0
         # lazily built derived views, tagged with the version they
-        # were computed at: (version, {view_name: view})
+        # were computed at: (version, {view_key: view}); see view()
         self._views: Optional[Tuple[int, Dict[str, Any]]] = None
 
     # ------------------------------------------------------------------
@@ -261,16 +261,22 @@ class Graph:
     # ------------------------------------------------------------------
     # cached derived views (invalidated through the version counter)
     # ------------------------------------------------------------------
-    def _view_cache(self) -> Dict[str, Any]:
-        """The per-version view store; stale stores are discarded.
+    def view(self, key: Hashable, build: Callable[["Graph"], Any]) -> Any:
+        """``build(self)``, computed once per :meth:`version`.
 
-        Views are derived read-only structures the matching and truss
-        kernels iterate millions of times; rebuilding them per call
-        would dominate the kernels they exist to speed up.
+        The one memo for values derived from a graph's content (kernel
+        views, canonical code, fingerprint, graphlets, subtree census).
+        Views are shared read-only; ``build`` must be a pure function
+        of the content, as two threads that miss together both build.
         """
         if self._views is None or self._views[0] != self._version:
             self._views = (self._version, {})
-        return self._views[1]
+        views = self._views[1]
+        try:
+            return views[key]
+        except KeyError:
+            value = views[key] = build(self)
+            return value
 
     def adjacency_sets(self) -> Dict[int, FrozenSet[int]]:
         """``{node: frozenset(neighbors)}``, cached per version.
@@ -281,12 +287,8 @@ class Graph:
         read-only; it is shared between callers until the graph's
         next mutation.
         """
-        views = self._view_cache()
-        cached = views.get("adjacency_sets")
-        if cached is None:
-            cached = {u: frozenset(nbrs) for u, nbrs in self._adj.items()}
-            views["adjacency_sets"] = cached
-        return cached
+        return self.view("adjacency_sets", lambda g: {
+            u: frozenset(nbrs) for u, nbrs in g._adj.items()})
 
     def label_index(self) -> Dict[str, Tuple[int, ...]]:
         """``{label: (nodes with that label, ...)}``, cached per version.
@@ -294,16 +296,7 @@ class Graph:
         Node order within each tuple follows node-insertion order, so
         iteration over a label class is deterministic.
         """
-        views = self._view_cache()
-        cached = views.get("label_index")
-        if cached is None:
-            grouped: Dict[str, List[int]] = {}
-            for node in self._adj:
-                grouped.setdefault(self._node_labels[node], []).append(node)
-            cached = {label: tuple(nodes)
-                      for label, nodes in grouped.items()}
-            views["label_index"] = cached
-        return cached
+        return self.view("label_index", _label_index)
 
     def compact(self) -> Any:
         """Frozen CSR snapshot of this graph, cached per version.
@@ -314,14 +307,9 @@ class Graph:
         every view, it is rebuilt lazily after a mutation; treat it
         as read-only and never mutate the graph while iterating it.
         """
-        views = self._view_cache()
-        cached = views.get("compact")
-        if cached is None:
-            # local import: repro.graph.compact imports Graph
-            from repro.graph.compact import CompactGraph
-            cached = CompactGraph.from_graph(self)
-            views["compact"] = cached
-        return cached
+        # local import: repro.graph.compact imports Graph
+        from repro.graph.compact import CompactGraph
+        return self.view("compact", CompactGraph.from_graph)
 
     def neighbor_label_counts(self) -> Dict[int, Dict[str, int]]:
         """``{node: {label: count of neighbors with label}}``, cached.
@@ -331,18 +319,7 @@ class Graph:
         label the pattern node's neighborhood requires can never be an
         image of that pattern node.
         """
-        views = self._view_cache()
-        cached = views.get("neighbor_label_counts")
-        if cached is None:
-            cached = {}
-            for u, nbrs in self._adj.items():
-                counts: Dict[str, int] = {}
-                for v in nbrs:
-                    label = self._node_labels[v]
-                    counts[label] = counts.get(label, 0) + 1
-                cached[u] = counts
-            views["neighbor_label_counts"] = cached
-        return cached
+        return self.view("neighbor_label_counts", _neighbor_label_counts)
 
     # ------------------------------------------------------------------
     # copies and equality helpers
@@ -412,6 +389,19 @@ class Graph:
     def __repr__(self) -> str:
         tag = f" {self.name!r}" if self.name else ""
         return f"<Graph{tag} n={self.order()} m={self.size()}>"
+
+
+def _label_index(graph: Graph) -> Dict[str, Tuple[int, ...]]:
+    grouped: Dict[str, List[int]] = {}
+    for node in graph._adj:
+        grouped.setdefault(graph._node_labels[node], []).append(node)
+    return {label: tuple(nodes) for label, nodes in grouped.items()}
+
+
+def _neighbor_label_counts(graph: Graph) -> Dict[int, Dict[str, int]]:
+    labels = graph._node_labels
+    return {u: dict(Counter(labels[v] for v in nbrs))
+            for u, nbrs in graph._adj.items()}
 
 
 def build_graph(node_labels: Iterable[Tuple[int, str]],

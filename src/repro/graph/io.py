@@ -42,17 +42,26 @@ def graph_from_dict(data: Dict[str, Any],
                     path: PathLike | None = None) -> Graph:
     """Inverse of :func:`graph_to_dict`.
 
-    Raises :class:`~repro.errors.GraphInputError` on malformed input;
-    ``path`` (when given) is carried on the error for context.
+    Raises :class:`~repro.errors.GraphInputError` on malformed input,
+    including a name or label that is not a string; ``path`` (when
+    given) is carried on the error for context.
     """
+    def text(item: Dict[str, Any], key: str) -> str:
+        value = item.get(key, "")
+        if isinstance(value, str):
+            return value
+        raise GraphInputError(f"malformed graph dict: {key} must be a "
+                              f"string, not {type(value).__name__}",
+                              path=path)
+
     try:
-        g = Graph(name=data.get("name", ""))
+        g = Graph(name=text(data, "name"))
         for node in data["nodes"]:
-            g.add_node(int(node["id"]), label=node.get("label", ""),
+            g.add_node(int(node["id"]), label=text(node, "label"),
                        **node.get("attrs", {}))
         for edge in data["edges"]:
             g.add_edge(int(edge["u"]), int(edge["v"]),
-                       label=edge.get("label", ""),
+                       label=text(edge, "label"),
                        **edge.get("attrs", {}))
     except (KeyError, TypeError, ValueError) as exc:
         raise GraphInputError(f"malformed graph dict: {exc}",

@@ -16,18 +16,13 @@ here (<= ~15 nodes).
 from __future__ import annotations
 
 from typing import Dict, List, Tuple
-from weakref import WeakKeyDictionary
 
 from repro.graph.graph import Graph
 from repro.obs import metrics
 
-#: Per-object memo for :func:`canonical_code`, invalidated through the
-#: graph's mutation counter.  Clustering and dedup loops recompute the
-#: code of the *same object* many times; this memo removes those
-#: repeats without the content hashing `repro.perf.cached_canonical_code`
-#: pays to unify distinct-but-equal objects.
-_code_memo: "WeakKeyDictionary[Graph, Tuple[int, str]]" = \
-    WeakKeyDictionary()
+#: backslash-escapes for labels inside an encoding, so no label can
+#: spell the row and section separators ``|`` and ``#``
+_CODE_ESCAPES = str.maketrans({"\\": "\\\\", "|": "\\|", "#": "\\#"})
 
 
 def _refine(graph: Graph, colors: Dict[int, int]) -> Dict[int, int]:
@@ -56,11 +51,13 @@ def _initial_colors(graph: Graph) -> Dict[int, int]:
 def _encode(graph: Graph, order: List[int]) -> str:
     """Adjacency encoding of the graph under a fixed node order."""
     position = {u: i for i, u in enumerate(order)}
-    rows = [f"n{i}:{graph.node_label(u)}" for i, u in enumerate(order)]
+    rows = [f"n{i}:{graph.node_label(u).translate(_CODE_ESCAPES)}"
+            for i, u in enumerate(order)]
     edges: List[str] = []
     for u, v in graph.edges():
         a, b = sorted((position[u], position[v]))
-        edges.append(f"e{a:03d},{b:03d}:{graph.edge_label(u, v)}")
+        label = graph.edge_label(u, v).translate(_CODE_ESCAPES)
+        edges.append(f"e{a:03d},{b:03d}:{label}")
     edges.sort()
     return "|".join(rows) + "#" + "|".join(edges)
 
@@ -128,22 +125,26 @@ class _CanonicalSearch:
 def canonical_code(graph: Graph) -> str:
     """Canonical string code; equal iff graphs are isomorphic.
 
-    Memoized per graph object, keyed by
-    :meth:`repro.graph.graph.Graph.version`, so repeated calls on an
-    unmodified graph skip the backtracking search.
+    Memoized as the graph's ``"canonical_code"``
+    :meth:`~repro.graph.graph.Graph.view`, so repeated calls on an
+    unmodified graph skip the backtracking search (each search counts
+    one ``matching.canonical_memo_misses``, each skip one ``_hits``).
     """
     if graph.order() == 0:
         return "#"
-    version = graph.version()
-    cached = _code_memo.get(graph)
-    if cached is not None and cached[0] == version:
-        metrics.inc("matching.canonical_memo_hits")
-        return cached[1]
-    metrics.inc("matching.canonical_memo_misses")
-    search = _CanonicalSearch(graph)
-    search.run()
-    _code_memo[graph] = (version, search.best_code)
-    return search.best_code
+    searched = False
+
+    def search_code(target: Graph) -> str:
+        nonlocal searched
+        searched = True
+        search = _CanonicalSearch(target)
+        search.run()
+        return search.best_code
+
+    code = graph.view("canonical_code", search_code)
+    metrics.inc("matching.canonical_memo_misses" if searched
+                else "matching.canonical_memo_hits")
+    return code
 
 
 def canonical_form(graph: Graph) -> Graph:

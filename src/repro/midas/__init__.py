@@ -1,6 +1,6 @@
 """MIDAS: canned-pattern maintenance under batch updates."""
 
-from repro.midas.fct import FCTIndex
+from repro.clustering.features import FCTIndex
 from repro.midas.maintenance import (
     MaintenanceReport,
     Midas,

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set
 
 from repro.catapult.random_walk import generate_candidates
-from repro.clustering.features import feature_vector_from_vocabulary
+from repro.clustering.features import FCTIndex, feature_vector_from_vocabulary
 from repro.clustering.kmedoids import kmedoids
 from repro.clustering.similarity import (
     distance_matrix_from_vectors,
@@ -34,7 +34,6 @@ from repro.datasets.evolving import UpdateBatch
 from repro.errors import MaintenanceError, PipelineError, WorkerFailure
 from repro.graph.graph import Graph
 from repro.graphlets.counting import GRAPHLET_KEYS, count_graphlets, gfd_distance
-from repro.midas.fct import FCTIndex
 from repro.midas.swapping import SwapStats, multi_scan_swap
 from repro.obs import capture, metrics, span
 from repro.patterns.base import Pattern, PatternSet
@@ -209,7 +208,6 @@ class Midas:
             MatchCache() if self.config.use_cache else None
         # incrementally maintained state
         self.fct = FCTIndex()
-        self._graphlet_counts: Dict[str, Dict[str, int]] = {}
         self._pooled_graphlets: Dict[str, int] = {
             key: 0 for key in GRAPHLET_KEYS}
         self.membership: Dict[str, int] = {}
@@ -224,14 +222,9 @@ class Midas:
         return list(self._graphs.values())
 
     def _account_graphlets(self, graph: Graph, sign: int) -> None:
-        counts = self._graphlet_counts.get(graph.name)
-        if counts is None:
-            counts = count_graphlets(graph)
-            self._graphlet_counts[graph.name] = counts
-        for key, value in counts.items():
+        for key, value in graph.view("graphlets",
+                                     count_graphlets).items():
             self._pooled_graphlets[key] += sign * value
-        if sign < 0:
-            self._graphlet_counts.pop(graph.name, None)
 
     def gfd(self) -> Dict[str, float]:
         """Current pooled graphlet frequency distribution."""

@@ -12,7 +12,7 @@ object churn:
   patterns (regardless of node numbering or object identity) share
   one entry;
 * the *graph* side is a content fingerprint (SHA-256 over the sorted
-  node/edge label lists), memoized per object via weak references, so
+  node/edge label lists), memoized as a view of the graph, so
   re-sampled or copied graphs with identical content also share.
 
 Entries are bounded (LRU eviction) and instrumented: hits, misses,
@@ -60,7 +60,6 @@ from collections import OrderedDict
 from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
-from weakref import WeakKeyDictionary
 
 from repro.errors import OptionError
 from repro.graph.graph import Graph
@@ -74,36 +73,33 @@ EdgeSet = FrozenSet[Tuple[int, int]]
 #: Default entry bound for the process-global cache.
 DEFAULT_MAX_ENTRIES = 50_000
 
-_fingerprints: "WeakKeyDictionary[Graph, Tuple[int, str]]" = \
-    WeakKeyDictionary()
+#: backslash-escapes for labels inside a fingerprint record, so no
+#: label can spell the record terminator ``;``
+_FINGERPRINT_ESCAPES = str.maketrans({"\\": "\\\\", ";": "\\;"})
 
 
 def _compute_fingerprint(graph: Graph) -> str:
     digest = hashlib.sha256()
     for node in sorted(graph.nodes()):
-        digest.update(f"n{node}:{graph.node_label(node)};".encode())
+        label = graph.node_label(node).translate(_FINGERPRINT_ESCAPES)
+        digest.update(f"n{node}:{label};".encode())
     for u, v in sorted(graph.edges()):
-        digest.update(f"e{u},{v}:{graph.edge_label(u, v)};".encode())
+        label = graph.edge_label(u, v).translate(_FINGERPRINT_ESCAPES)
+        digest.update(f"e{u},{v}:{label};".encode())
     return digest.hexdigest()
 
 
 def graph_fingerprint(graph: Graph) -> str:
     """Content fingerprint of a graph (equal iff same labeled content).
 
-    Memoized per graph object through a weak reference and the graph's
-    mutation :meth:`~repro.graph.graph.Graph.version`, so repeated
-    lookups against large networks cost O(1) until the graph is
-    modified in place (at which point the memo self-invalidates).
+    Memoized as the graph's ``"fingerprint"``
+    :meth:`~repro.graph.graph.Graph.view`, so repeated lookups
+    against large networks cost O(1) until the graph is modified in
+    place (at which point the view goes stale with the others).
     Note this is *not* isomorphism-invariant (node ids participate) —
     the isomorphism-invariant key is the pattern-side canonical code.
     """
-    version = graph.version()
-    cached = _fingerprints.get(graph)
-    if cached is not None and cached[0] == version:
-        return cached[1]
-    fingerprint = _compute_fingerprint(graph)
-    _fingerprints[graph] = (version, fingerprint)
-    return fingerprint
+    return graph.view("fingerprint", _compute_fingerprint)
 
 
 class CacheDelta:

@@ -248,9 +248,13 @@ class PatternService:
         snapshot is published *before* the commit, so whether a
         crash (or commit failure) lands before or after any given
         step, the live state and the recovered state agree — both
-        pre-batch, or both post-batch.
+        pre-batch, or both post-batch.  The engine is built before
+        the WAL write, so a batch the service cannot maintain is
+        refused without leaving a record every recovery would
+        replay and fail on.
         """
         with self.engine_lock:
+            self.ensure_midas()
             wal_seq = self.backend.log_batch(batch)
             return self._apply_batch_locked(batch, wal_seq=wal_seq)
 

@@ -31,3 +31,9 @@ def merge_neighbors(graph, u, v):
     adj = graph.adjacency_sets()
     adj[u].add(v)  # expect: R011
     return adj
+
+
+def drop_code(graph, code, take_census):
+    census = graph.view(("subtree_census", 3), take_census)
+    census.pop(code)  # expect: R011
+    return census

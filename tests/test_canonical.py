@@ -46,6 +46,16 @@ class TestCanonicalCode:
         b = build_graph([(0, "X"), (1, "X")], edges=[(0, 1)])
         assert canonical_code(a) != canonical_code(b)
 
+    def test_labels_cannot_forge_separators(self):
+        # one node labeled like a second row vs. two real nodes
+        forged = build_graph([(0, "X|n1:Y")])
+        pair = build_graph([(0, "X"), (1, "Y")])
+        assert canonical_code(pair) == "n0:X|n1:Y#"
+        assert canonical_code(forged) != canonical_code(pair)
+        edge = build_graph([(0, "X"), (1, "Y")],
+                           labeled_edges=[(0, 1, "s#t\\")])
+        assert canonical_code(edge) == "n0:X|n1:Y#e000,001:s\\#t\\\\"
+
     def test_distinguishes_edge_labels(self):
         a = build_graph([(0, "X"), (1, "X")], labeled_edges=[(0, 1, "s")])
         b = build_graph([(0, "X"), (1, "X")], labeled_edges=[(0, 1, "d")])

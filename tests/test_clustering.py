@@ -21,6 +21,9 @@ from repro.clustering import (
     vector_cosine_distance,
     vector_euclidean,
 )
+from repro import obs
+from repro.clustering.features import FCTIndex, subtree_census
+from repro.datasets import generate_chemical_repository
 from repro.errors import PipelineError
 from repro.graph import (
     complete_graph,
@@ -30,6 +33,7 @@ from repro.graph import (
     path_graph,
     star_graph,
 )
+from repro.matching import canonical_code
 
 
 class TestTreeSubgraphs:
@@ -123,6 +127,110 @@ class TestFeatureVectors:
         edge_idx = next(i for i, t in enumerate(vocab)
                         if t.graph.size() == 1)
         assert vector[edge_idx] == 4.0
+
+
+def census_oracle(graph, max_edges=3):
+    """``{code: count}`` and ``{code: first subtree}``, recomputed from
+    scratch on fresh subtree objects, in enumeration order."""
+    counts, first = {}, {}
+    for _, subtree in connected_tree_subgraphs(graph, max_edges):
+        code = canonical_code(subtree)
+        counts[code] = counts.get(code, 0) + 1
+        first.setdefault(code, subtree)
+    return counts, first
+
+
+def mining_oracle(repository, max_edges=3):
+    """Document-frequency supports and first-seen representatives."""
+    supports, representatives = {}, {}
+    for graph in repository:
+        counts, first = census_oracle(graph, max_edges)
+        for code in counts:
+            supports[code] = supports.get(code, 0) + 1
+            representatives.setdefault(code, first[code].normalized())
+    return supports, representatives
+
+
+def small_graphs():
+    """The graphs the tests above mine and count."""
+    return [path_graph(4, label="A"), star_graph(3, label="A"),
+            complete_graph(4, label="A"), complete_graph(3, label="A"),
+            path_graph(3, label="A"), path_graph(2, label="B"),
+            star_graph(5, label="A"), path_graph(2, label="A"),
+            path_graph(6, label="A"), star_graph(4, label="A"),
+            cycle_graph(5, label="A"),
+            gnm_random_graph(6, 7, random.Random(1), labels=["A", "B"])]
+
+
+@pytest.fixture(scope="module")
+def chem_repo():
+    return generate_chemical_repository(40, seed=21)
+
+
+def misses():
+    return obs.matching_snapshot()["canonical_memo_misses"]
+
+
+class TestSubtreeCensus:
+    """One census per graph feeds every subtree consumer, and each of
+    them equals a from-scratch enumeration."""
+
+    def test_one_enumeration_per_graph(self, chem_repo):
+        repo = [graph.copy() for graph in chem_repo]  # no views yet
+        obs.reset()
+        index = FCTIndex()
+        index.build(repo)
+        first = misses()
+        assert first > 0
+        repository_feature_matrix(repo, index.frequent_closed())
+        index.build(repo)
+        assert mine_frequent_trees(repo)
+        assert misses() == first
+
+    def test_census_is_keyed_by_max_edges(self):
+        g = path_graph(4, label="A")
+        shallow = subtree_census(g, 2)
+        assert shallow is not subtree_census(g, 3)
+        assert sum(count for count, _ in shallow.values()) == 5
+        assert sum(count for count, _ in subtree_census(g).values()) == 6
+
+    @pytest.mark.parametrize("source", ["small", "chemical"])
+    def test_feature_counts_match_scratch(self, source, chem_repo):
+        graphs = small_graphs() if source == "small" else chem_repo
+        for graph in graphs:
+            counts, _ = census_oracle(graph)
+            got = tree_feature_counts(graph)
+            assert got == counts
+            assert list(got) == list(counts)  # first-met order
+
+    @pytest.mark.parametrize("source", ["small", "chemical"])
+    def test_mined_trees_match_scratch(self, source, chem_repo):
+        graphs = small_graphs() if source == "small" else chem_repo
+        supports, representatives = mining_oracle(graphs)
+        for min_support in (1, 2):
+            mined = mine_frequent_trees(graphs, min_support=min_support)
+            assert [(t.code, t.support) for t in mined] == sorted(
+                (code, support) for code, support in supports.items()
+                if support >= min_support)
+            for tree in mined:
+                assert tree.graph.same_as(representatives[tree.code])
+
+    def test_fct_index_after_updates_matches_scratch(self, chem_repo):
+        index = FCTIndex(min_support=2)
+        index.build(chem_repo[:30])
+        for graph in chem_repo[30:35]:
+            index.add_graph(graph)
+        for graph in chem_repo[:5]:
+            index.remove_graph(graph)
+        supports, _ = mining_oracle(chem_repo[5:35])
+        # representatives are first seen over the index's lifetime
+        _, representatives = mining_oracle(chem_repo[:35])
+        trees = index.frequent_trees()
+        assert [(t.code, t.support) for t in trees] == sorted(
+            (code, support) for code, support in supports.items()
+            if support >= 2)
+        for tree in trees:
+            assert tree.graph.same_as(representatives[tree.code])
 
 
 class TestSimilarity:

@@ -9,7 +9,11 @@ from repro.errors import (
     GraphError,
     NodeNotFoundError,
 )
+from repro.clustering.features import subtree_census
 from repro.graph import Graph, build_graph, edge_key
+from repro.graphlets import count_graphlets
+from repro.matching import canonical_code
+from repro.perf import graph_fingerprint
 
 
 def triangle():
@@ -242,9 +246,33 @@ class TestBuildGraph:
         assert "n=3" in repr(triangle())
 
 
+#: The views other modules keep in a graph's view store, by the call
+#: that reads each one.
+DERIVED_VIEWS = {
+    "canonical_code": canonical_code,
+    "fingerprint": graph_fingerprint,
+    "graphlets": lambda g: g.view("graphlets", count_graphlets),
+    "subtree_census": subtree_census,
+}
+
+
+def derived_views(g):
+    return {name: read(g) for name, read in DERIVED_VIEWS.items()}
+
+
+def assert_rebuilt(g, before):
+    """Every derived view is a new object, equal to one computed on
+    a fresh copy (which has no views yet)."""
+    fresh = derived_views(g.copy())
+    for name, read in DERIVED_VIEWS.items():
+        assert read(g) is not before[name], name
+        assert read(g) == fresh[name], name
+
+
 class TestCachedViews:
-    """adjacency_sets / label_index / neighbor_label_counts: content,
-    caching, and invalidation through the version counter."""
+    """adjacency_sets / label_index / neighbor_label_counts and the
+    derived views in DERIVED_VIEWS: content, caching, and invalidation
+    through the version counter."""
 
     def test_adjacency_sets_content(self):
         g = triangle()
@@ -268,29 +296,37 @@ class TestCachedViews:
         assert g.adjacency_sets() is g.adjacency_sets()
         assert g.label_index() is g.label_index()
         assert g.neighbor_label_counts() is g.neighbor_label_counts()
+        for name, read in DERIVED_VIEWS.items():
+            assert read(g) is read(g), name
 
     def test_structural_mutation_invalidates(self):
         g = triangle()
         before = g.adjacency_sets()
+        derived = derived_views(g)
         g.add_node(3, label="C")
         g.add_edge(2, 3)
         after = g.adjacency_sets()
         assert after is not before
         assert after[3] == frozenset({2})
         assert 3 in after[2]
+        assert_rebuilt(g, derived)
 
     def test_label_mutation_invalidates(self):
         g = triangle()
         assert g.label_index() == {"C": (0, 1, 2)}
+        derived = derived_views(g)
         g.set_node_label(1, "N")
         assert g.label_index() == {"C": (0, 2), "N": (1,)}
         assert g.neighbor_label_counts()[0] == {"C": 1, "N": 1}
+        assert_rebuilt(g, derived)
 
     def test_edge_removal_invalidates(self):
         g = triangle()
         g.adjacency_sets()
+        derived = derived_views(g)
         g.remove_edge(0, 1)
         assert g.adjacency_sets()[0] == frozenset({2})
+        assert_rebuilt(g, derived)
 
     def test_copies_do_not_share_views(self):
         g = triangle()

@@ -24,7 +24,7 @@ from repro.datasets import (
     generate_chemical_repository,
     generate_network,
 )
-from repro.graph import Graph
+from repro.graph import Graph, build_graph
 from repro.matching import canonical_code, covered_edges
 from repro.patterns import PatternBudget
 from repro.patterns.base import Pattern
@@ -268,6 +268,12 @@ class TestFingerprint:
     def test_label_sensitivity(self):
         assert graph_fingerprint(_triangle()) != \
             graph_fingerprint(_triangle(("C", "C", "N")))
+
+    def test_labels_cannot_forge_records(self):
+        # one node labeled like a second record vs. two real nodes
+        forged = build_graph([(1, "A;n2:B")])
+        pair = build_graph([(1, "A"), (2, "B")])
+        assert graph_fingerprint(forged) != graph_fingerprint(pair)
 
     def test_in_place_mutation_invalidates_memo(self):
         g = _triangle()

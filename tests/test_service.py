@@ -59,6 +59,7 @@ from repro.service import (  # noqa: E402
 )
 from repro.service import wire  # noqa: E402
 from repro.service.server import MAX_BODY_BYTES  # noqa: E402
+from repro.store import DiskBackend  # noqa: E402
 
 BUDGET = PatternBudget(4, min_size=4, max_size=7)
 
@@ -140,6 +141,31 @@ OUT_OF_RANGE = [
 ]
 
 
+#: Graph payloads whose name or first node/edge label is not a
+#: string, one per route that decodes graphs: (path, part, value).
+NON_STRING_GRAPHS = [
+    ("/v1/query", "nodes", ["C"]),
+    ("/v1/query", "name", 7),
+    ("/v1/build", "edges", 2),
+    ("/v1/patterns/maintain", "nodes", 6),
+    ("/v1/patterns/maintain", "edges", 1),
+    ("/v1/patterns/maintain", "name", ["mol"]),
+]
+
+
+def non_string_body(path, part, value):
+    item = graph_to_dict(make_repo(11, seed=9)[10])
+    item["name"] = "fresh"
+    if part == "name":
+        item["name"] = value
+    else:
+        item[part][0]["label"] = value
+    if path == "/v1/query":
+        return {"query": item}
+    key = "repository" if path == "/v1/build" else "add"
+    return {key: [item]}
+
+
 @pytest.fixture()
 def service():
     svc = make_service()
@@ -201,6 +227,37 @@ class TestRoutesAndBodies:
         assert response.body["error"]["type"] == "OptionError"
         assert field in response.body["error"]["message"]
         assert unhandled_errors(service) == before
+
+    @pytest.mark.parametrize("path, part, value", NON_STRING_GRAPHS)
+    def test_non_string_graph_field_is_a_typed_400(self, service, path,
+                                                   part, value):
+        before = unhandled_errors(service)
+        response = service.dispatch("POST", path,
+                                    non_string_body(path, part, value))
+        assert response.status == 400, response.body
+        assert response.body["error"]["type"] == "GraphInputError"
+        assert unhandled_errors(service) == before
+
+    def test_non_string_label_leaves_a_durable_store_bootable(
+            self, tmp_path):
+        def boot():
+            return PatternService(make_repo(),
+                                  PipelineConfig(budget=BUDGET, seed=3),
+                                  backend=DiskBackend(str(tmp_path)))
+
+        svc = boot()
+        expected = canonical_bytes(svc.dispatch("GET",
+                                                "/v1/patterns").body)
+        response = svc.dispatch("POST", "/v1/patterns/maintain",
+                                non_string_body("/v1/patterns/maintain",
+                                                "nodes", 6))
+        assert response.status == 400, response.body
+        assert response.body["error"]["type"] == "GraphInputError"
+        svc.close()
+        rebooted = boot()
+        assert canonical_bytes(rebooted.dispatch(
+            "GET", "/v1/patterns").body) == expected
+        rebooted.close()
 
     def test_every_body_carries_the_wire_schema(self, service):
         for method, path, body in [

@@ -32,7 +32,12 @@ import warnings
 from unittest import mock
 
 from repro.core.pipeline import PipelineConfig
-from repro.datasets import UpdateBatch, generate_chemical_repository
+from repro.datasets import (
+    NetworkConfig,
+    UpdateBatch,
+    generate_chemical_repository,
+    generate_network,
+)
 from repro.errors import (
     SimulatedCrash,
     StoreCorruptionError,
@@ -545,6 +550,63 @@ class TestServiceRecovery(unittest.TestCase):
         recovered = disk_service(self.root)
         self.assertEqual(live, served(recovered))
         recovered.close()
+
+
+class TestRefusedBatchStaysOutOfTheWal(unittest.TestCase):
+    """A batch the engine cannot take is refused (409) before it
+    reaches the WAL: no record lands past the watermark, so the next
+    boot has nothing to replay and serves the pre-batch panel."""
+
+    def setUp(self):
+        self._tmp = tempfile.TemporaryDirectory()
+        self.addCleanup(self._tmp.cleanup)
+        self.root = self._tmp.name
+
+    def boot(self, data):
+        return PatternService(data, PipelineConfig(budget=BUDGET, seed=3),
+                              backend=DiskBackend(self.root))
+
+    def assert_refused_then_reboots(self, service, data):
+        extra = generate_chemical_repository(14, seed=11)[10:]
+        response = service.dispatch(
+            "POST", "/v1/patterns/maintain",
+            {"add": [graph_to_dict(g) for g in extra]})
+        self.assertEqual(409, response.status)
+        backend = service.backend
+        watermark = int(load_manifest(backend.manifest_path)["wal_seq"])
+        pending, _ = backend.wal.scan(watermark, repair=False)
+        self.assertEqual([], pending)
+        expected = pattern_bytes(service)
+        service.close()
+        rebooted = self.boot(data)
+        self.assertEqual(0, rebooted.recovery.pending_batches)
+        self.assertEqual(expected, pattern_bytes(rebooted))
+        rebooted.close()
+
+    def test_network_service(self):
+        network = generate_network(NetworkConfig(nodes=60), seed=5)
+        self.assert_refused_then_reboots(self.boot(network), network)
+
+    def build_with_names(self, names):
+        service = self.boot(make_repo())
+        repository = []
+        for graph, name in zip(make_repo(), names):
+            item = graph_to_dict(graph)
+            item["name"] = name
+            repository.append(item)
+        response = service.dispatch("POST", "/v1/build",
+                                    {"repository": repository})
+        self.assertEqual(200, response.status)
+        return service
+
+    def test_duplicate_graph_names(self):
+        names = ["mol0"] + [f"mol{i}" for i in range(9)]
+        self.assert_refused_then_reboots(self.build_with_names(names),
+                                         make_repo())
+
+    def test_unnamed_graphs(self):
+        self.assert_refused_then_reboots(
+            self.build_with_names([""] * 10), make_repo())
 
 
 # -------------------------------------------------------- crash matrix

@@ -101,7 +101,7 @@ class LintConfig:
     #: Zero-copy cached-view accessors whose returns are shared state;
     #: callers outside the defining module must not mutate them (R011).
     cached_view_methods: FrozenSet[str] = frozenset({
-        "adjacency_sets", "label_index", "neighbor_label_counts",
+        "adjacency_sets", "label_index", "neighbor_label_counts", "view",
     })
 
     #: Dotted origins of the parallel map (R012 payload checks).

@@ -1,8 +1,11 @@
 """R011 cache-invalidation safety.
 
-:class:`repro.graph.graph.Graph` invalidates its derived views
-(adjacency sets, label index, neighbor label counts) with a monotonic
-``_version`` counter instead of eagerly rebuilding them.  The whole
+:class:`repro.graph.graph.Graph` keeps every value derived from its
+content in one view store, ``Graph.view(key, build)``: the kernel
+views (adjacency sets, label index, compact form, neighbor label
+counts), canonical codes, content fingerprints, graphlet counts and
+subtree censuses.  A monotonic ``_version`` counter invalidates them
+all instead of eagerly rebuilding them.  The whole
 scheme rests on two obligations this rule machine-checks:
 
 * **Writers bump.**  Any method of a version-guarded class (a class
@@ -17,7 +20,8 @@ scheme rests on two obligations this rule machine-checks:
   write itself (``self._views = (self._version, {...})``).
 * **Readers don't write.**  The cached views are returned without
   copying; call sites outside the defining module must treat them as
-  frozen.  ``adj = g.adjacency_sets(); adj[u].add(v)`` corrupts the
+  frozen.  ``adj = g.adjacency_sets(); adj[u].add(v)`` or
+  ``census = g.view(key, build); census.pop(code)`` corrupts the
   shared cache for every other reader until the next bump.
 
 Both checks are intra-procedural on top of the dataflow pass's
@@ -108,8 +112,8 @@ class CacheInvalidationRule(Rule):
     name = "cache-invalidation-safety"
     description = ("mutations of version-guarded Graph state must bump "
                    "_version on every path, and cached-view returns "
-                   "(adjacency_sets() etc.) must not be mutated by "
-                   "callers")
+                   "(view(), adjacency_sets() etc.) must not be "
+                   "mutated by callers")
     requires = ("symbols", "dataflow")
 
     # ------------------------------------------------------------------

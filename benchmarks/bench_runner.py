@@ -206,8 +206,8 @@ def run_midas(smoke: bool,
               ) -> Dict[str, object]:
     """E6-shaped: MIDAS maintenance over an update stream.
 
-    The engine-lifetime cache is the point here: every batch rebuilds
-    its coverage index, so from batch 2 onward hits should dominate.
+    The match cache is the point here: every batch rebuilds its
+    coverage index, so from batch 2 onward hits should dominate.
     """
     initial = 30 if smoke else 100
     batches = 2 if smoke else 5
@@ -215,6 +215,7 @@ def run_midas(smoke: bool,
 
     def drive(workers: int, trace: bool):
         obs.reset(clear_cache_entries=True)
+        before = matching_snapshot()
         repo = generate_chemical_repository(initial, seed=31)
         config = PipelineConfig(budget=budget, seed=2, workers=workers,
                                 trace=trace)
@@ -226,20 +227,15 @@ def run_midas(smoke: bool,
         for batch in stream:
             evolving.apply(batch)
             reports.append(midas.apply_batch(batch))
-        return midas, reports
+        return midas, reports, _cache_delta(before, matching_snapshot())
 
     runs = {}
     for workers in WORKER_COUNTS:
-        (midas, _), wall = _timed(lambda: drive(workers, False))
-        stats = midas.cache_stats() or {}
+        (midas, _, cache), wall = _timed(lambda: drive(workers, False))
         runs[str(workers)] = {
             "wall_seconds": wall,
             "pattern_codes": sorted(midas.patterns.codes()),
-            "cache": {
-                "hits": int(stats.get("hits", 0)),
-                "misses": int(stats.get("misses", 0)),
-                "hit_rate": stats.get("hit_rate", 0.0),
-            },
+            "cache": cache,
         }
     experiment = _finish("midas_e6",
                          {"initial_size": initial, "batches": batches},
@@ -248,7 +244,7 @@ def run_midas(smoke: bool,
         list(generate_chemical_repository(initial, seed=31)))
     experiment["peak_rss_kb"] = _peak_rss_kb()
     if traces is not None:
-        midas, reports = drive(WORKER_COUNTS[0], True)
+        midas, reports, _ = drive(WORKER_COUNTS[0], True)
         records = [midas.trace] + [r.trace for r in reports]
         traces.extend(records)
         experiment["trace"] = [_stage_profile(r) for r in records]

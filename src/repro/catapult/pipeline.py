@@ -33,7 +33,7 @@ from repro.obs import capture, span
 from repro.patterns.base import Pattern, PatternBudget, PatternSet
 from repro.patterns.index import CoverageIndex
 from repro.patterns.selection import SelectionResult, SetScorer, greedy_select
-from repro.perf.cache import cached_is_subgraph, get_match_cache
+from repro.perf.cache import cached_is_subgraph
 from repro.perf.executor import ItemFailure, derive_seed, \
     failure_policy, pmap, resolve_workers
 from repro.resilience.deadline import CompletionReport, Deadline
@@ -199,8 +199,7 @@ def summarize_clusters(repository: Sequence[Graph],
         return summaries
 
 
-def _make_validator(members: Sequence[Graph], sample: int = 8,
-                    use_cache: bool = True):
+def _make_validator(members: Sequence[Graph], sample: int = 8):
     """Candidate validator: occurs in at least one cluster member.
 
     Validation runs through :func:`repro.perf.cached_is_subgraph`
@@ -213,8 +212,7 @@ def _make_validator(members: Sequence[Graph], sample: int = 8,
     probe = list(members[:sample])
 
     def validator(candidate: Graph) -> bool:
-        cache = get_match_cache() if use_cache else None
-        return any(cached_is_subgraph(candidate, member, cache=cache)
+        return any(cached_is_subgraph(candidate, member)
                    for member in probe)
 
     return validator
@@ -224,15 +222,14 @@ def _cluster_candidates_task(task) -> List[Pattern]:
     """One cluster's candidates (module-level: runs in pool workers).
 
     ``task`` is ``(cluster_index, member_graphs, summary, budget,
-    walks, use_cache, seed)``; the per-cluster RNG is built from the
-    split seed, so the output depends only on the task content, never
-    on which worker ran it or in what order.
+    walks, seed)``; the per-cluster RNG is built from the split seed,
+    so the output depends only on the task content, never on which
+    worker ran it or in what order.
     """
-    (cluster_index, member_graphs, summary, budget, walks, use_cache,
-     seed) = task
+    cluster_index, member_graphs, summary, budget, walks, seed = task
     with span("catapult.cluster_walks", cluster=cluster_index) as walk:
         rng = random.Random(seed)
-        validator = _make_validator(member_graphs, use_cache=use_cache)
+        validator = _make_validator(member_graphs)
         out: List[Pattern] = []
         for pattern in generate_candidates(
                 summary, budget, walks, rng,
@@ -293,10 +290,9 @@ def generate_all_candidates(repository: Sequence[Graph],
                 zip(clusters, summaries)):
             member_graphs = [repository[i] for i in members]
             tasks.append((cluster_index, member_graphs, summary, budget,
-                          config.walks_per_cluster, config.use_cache,
+                          config.walks_per_cluster,
                           derive_seed(config.seed, cluster_index)))
         policy = failure_policy(config.max_retries, config.deadline_s)
-        cache_merge = get_match_cache() if config.use_cache else None
         wave = (len(tasks) if deadline.seconds is None
                 else max(1, resolve_workers(config.workers)))
         candidates: List[Pattern] = []
@@ -311,8 +307,7 @@ def generate_all_candidates(repository: Sequence[Graph],
                               max_retries=config.max_retries,
                               on_item_failure=policy,
                               retry_seed=config.seed,
-                              site="catapult.candidates",
-                              cache_merge=cache_merge):
+                              site="catapult.candidates"):
                 if isinstance(batch, ItemFailure):
                     failed += 1
                     continue
@@ -366,8 +361,7 @@ def _run_catapult(repository: Sequence[Graph],
                 sample = rng.sample(sample, COVERAGE_SAMPLE)
             index = CoverageIndex(sample,
                                   max_embeddings=config.max_embeddings,
-                                  size_utility=True,
-                                  use_cache=config.use_cache)
+                                  size_utility=True)
             scorer = SetScorer(index, weights=config.weights)
             selection = greedy_select(candidates, budget, scorer,
                                       deadline=deadline,

@@ -1,9 +1,9 @@
 """The run settings every selection pipeline shares, declared once.
 
 :class:`RunConfig` holds the cross-pipeline fields (seed, workers,
-caching, tracing, score weights, the embedding cap, deadline, and
-retries).  :class:`repro.core.pipeline.PipelineConfig` extends it with
-the display budget and a per-pipeline ``options`` mapping; the stage
+tracing, score weights, the embedding cap, deadline, and retries).
+:class:`repro.core.pipeline.PipelineConfig` extends it with the
+display budget and a per-pipeline ``options`` mapping; the stage
 configs (:class:`repro.catapult.CatapultConfig`,
 :class:`repro.tattoo.TattooConfig`, :class:`repro.midas.MidasConfig`)
 extend it with their own knobs.  :func:`stage_config` is the one
@@ -35,11 +35,10 @@ class RunConfig:
 
     ``seed`` roots all randomness; ``workers`` fans hot stages over
     :func:`repro.perf.pmap` (``None`` reads ``REPRO_WORKERS``; results
-    are identical at every count); ``use_cache`` toggles the shared VF2
-    match cache; ``trace`` captures a :mod:`repro.obs` trace of the
-    run, private to the calling thread (spans record only inside
-    such a capture); ``weights`` and ``max_embeddings`` parameterise
-    the pattern-set score.
+    are identical at every count); ``trace`` captures a
+    :mod:`repro.obs` trace of the run, private to the calling thread
+    (spans record only inside such a capture); ``weights`` and
+    ``max_embeddings`` parameterise the pattern-set score.
     ``deadline_s`` puts the run under a wall-clock budget: stages stop
     at loop boundaries once it expires and the result comes back
     ``degraded`` instead of raising.  ``max_retries`` is the per-item
@@ -48,7 +47,6 @@ class RunConfig:
 
     seed: int = 0
     workers: Optional[int] = None
-    use_cache: bool = True
     trace: bool = False
     weights: ScoreWeights = DEFAULT_WEIGHTS
     max_embeddings: int = 30

@@ -4,8 +4,8 @@ CATAPULT, TATTOO, and MIDAS grew mutually inconsistent entry points
 (budget positional here, config class there, four disconnected stats
 endpoints).  This module is the one front door the paper's modular
 framing argues for: a shared :class:`PipelineConfig` carrying the
-cross-pipeline surface (budget, seed, workers, use_cache, trace,
-weights, max_embeddings) plus a per-pipeline ``options`` mapping, a
+cross-pipeline surface (budget, seed, workers, trace, weights,
+max_embeddings) plus a per-pipeline ``options`` mapping, a
 common :class:`PipelineResult` protocol every selection result
 satisfies (``.patterns`` / ``.stats`` / ``.trace``), and runners::
 

@@ -39,7 +39,7 @@ from repro.obs import capture, metrics, span
 from repro.patterns.base import Pattern, PatternSet
 from repro.patterns.index import CoverageIndex
 from repro.patterns.selection import SetScorer, greedy_select
-from repro.perf.cache import MatchCache, cached_is_subgraph
+from repro.perf.cache import cached_is_subgraph
 from repro.resilience.deadline import CompletionReport, Deadline
 from repro.summary.closure import SummaryGraph, build_summary
 from repro.catapult.pipeline import default_cluster_count
@@ -62,14 +62,6 @@ class MidasConfig(RunConfig):
 
     The shared run fields come from :class:`repro.config.RunConfig`.
     ``workers`` parallelises the clustering distance matrix;
-    ``use_cache`` keeps one :class:`repro.perf.MatchCache` alive for
-    the lifetime of the engine, so coverage answers survive across
-    swap scans *and* across batches (each batch builds a fresh
-    coverage index, but most (pattern, graph) pairs repeat).  With
-    ``workers`` > 1 that engine cache also rides into the coverage
-    pool: workers are seeded with its hottest entries and their
-    access deltas merge back in input order, so the engine cache
-    stays the single source of truth at every worker count.
     ``drift_threshold`` separates minor from major batches;
     ``max_scans`` and ``prune`` drive multi-scan swapping.
     """
@@ -202,10 +194,6 @@ class Midas:
             self._graphs[graph.name] = graph
         self._rng = random.Random(self.config.seed)
         self._batch_index = 0
-        # engine-lifetime match cache: coverage answers persist across
-        # swap scans and batches (None when caching is disabled)
-        self._match_cache: Optional[MatchCache] = \
-            MatchCache() if self.config.use_cache else None
         # incrementally maintained state
         self.fct = FCTIndex()
         self._pooled_graphlets: Dict[str, int] = {
@@ -301,7 +289,6 @@ class Midas:
                 run.add("degraded", "true")
         self.trace = run.record
         self.completion = report
-        self._publish_cache_gauges()
 
     @property
     def degraded(self) -> bool:
@@ -391,9 +378,8 @@ class Midas:
                           probe: List[Graph] = members) -> bool:
                 nonlocal faults
                 try:
-                    return any(cached_is_subgraph(
-                        candidate, m, cache=self._match_cache)
-                        for m in probe)
+                    return any(cached_is_subgraph(candidate, m)
+                               for m in probe)
                 except WorkerFailure:
                     faults += 1
                     return False
@@ -423,33 +409,13 @@ class Midas:
             sample = self._rng.sample(graphs, COVERAGE_SAMPLE)
         index = CoverageIndex(sample,
                               max_embeddings=self.config.max_embeddings,
-                              size_utility=True,
-                              cache=self._match_cache,
-                              use_cache=self.config.use_cache)
+                              size_utility=True)
         return SetScorer(index, weights=self.config.weights)
-
-    def cache_stats(self) -> Optional[Dict[str, float]]:
-        """Hit/miss counters of the engine's match cache (None if off).
-
-        The same counters are published as ``midas.cache.*`` gauges
-        in :func:`repro.obs.snapshot` after initialisation and after
-        every batch.
-        """
-        if self._match_cache is None:
-            return None
-        return self._match_cache.stats()
-
-    def _publish_cache_gauges(self) -> None:
-        stats = self.cache_stats()
-        if stats is None:
-            return
-        for key, value in stats.items():
-            metrics.set_gauge(f"midas.cache.{key}", value)
 
     @property
     def stats(self) -> Dict[str, object]:
         """Flat engine statistics in the shared PipelineResult shape."""
-        data: Dict[str, object] = {
+        return {
             "pipeline": "midas",
             "patterns": len(self.patterns),
             "graphs": len(self._graphs),
@@ -458,10 +424,6 @@ class Midas:
             "degraded": self.degraded,
             "completion": self.completion.as_dict(),
         }
-        cache = self.cache_stats()
-        if cache is not None:
-            data["cache"] = cache
-        return data
 
     # ------------------------------------------------------------------
     # batch application
@@ -599,7 +561,6 @@ class Midas:
 
         metrics.inc("midas.batches")
         metrics.inc(f"midas.batches.{kind}")
-        self._publish_cache_gauges()
         duration = time.perf_counter() - start
         return MaintenanceReport(
             self._batch_index, kind, drift,

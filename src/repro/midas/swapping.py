@@ -28,17 +28,10 @@ from repro.patterns.selection import SetScorer
 
 
 class SwapStats:
-    """What a swapping run did (for E6's ablation reporting).
-
-    ``cache_hits``/``cache_misses`` are the match-cache deltas over
-    the run when the scorer's coverage index is cache-backed: scans
-    after the first re-ask mostly-identical coverage questions, so a
-    healthy run shows hits dominating from scan 2 onward.
-    """
+    """What a swapping run did (for E6's ablation reporting)."""
 
     __slots__ = ("scans", "swaps", "considered", "pruned",
-                 "score_before", "score_after", "cache_hits",
-                 "cache_misses")
+                 "score_before", "score_after")
 
     def __init__(self) -> None:
         self.scans = 0
@@ -47,8 +40,6 @@ class SwapStats:
         self.pruned = 0
         self.score_before = 0.0
         self.score_after = 0.0
-        self.cache_hits = 0
-        self.cache_misses = 0
 
     def __repr__(self) -> str:
         return (f"<SwapStats scans={self.scans} swaps={self.swaps} "
@@ -95,7 +86,6 @@ def multi_scan_swap(current: Sequence[Pattern],
     stats = SwapStats()
     patterns: List[Pattern] = list(current)
     index = scorer.index
-    cache_before = index.cache_stats()
     current_score = scorer.score(patterns)
     stats.score_before = current_score
     existing_codes = {p.code for p in patterns}
@@ -137,11 +127,6 @@ def multi_scan_swap(current: Sequence[Pattern],
         if not improved:
             break
     stats.score_after = current_score
-    cache_after = index.cache_stats()
-    if cache_before is not None and cache_after is not None:
-        stats.cache_hits = int(cache_after["hits"] - cache_before["hits"])
-        stats.cache_misses = int(cache_after["misses"]
-                                 - cache_before["misses"])
     metrics.inc("midas.swap.runs")
     metrics.inc("midas.swap.scans", stats.scans)
     metrics.inc("midas.swap.swaps", stats.swaps)

@@ -21,8 +21,7 @@ from repro.graph.graph import Graph
 from repro.matching.isomorphism import WILDCARD
 from repro.obs import metrics
 from repro.patterns.base import Pattern
-from repro.perf.cache import MatchCache, cached_covered_edges, \
-    get_match_cache
+from repro.perf.cache import cached_covered_edges
 from repro.perf.executor import ItemFailure, failure_policy, pmap, \
     resolve_workers
 from repro.resilience.deadline import Deadline
@@ -43,8 +42,7 @@ def _required_labels(graph: Graph) -> FrozenSet[str]:
 def _index_pattern(code: str, pattern_graph: Graph,
                    graphs: Sequence[Graph],
                    graph_labels: Sequence[FrozenSet[str]],
-                   max_embeddings: int,
-                   cache: Optional[MatchCache]) -> Dict[int, EdgeSet]:
+                   max_embeddings: int) -> Dict[int, EdgeSet]:
     """Covered edges of one pattern per graph index, counting the
     pairs matched and pruned in the registry where it runs (see
     :meth:`CoverageIndex.add_pattern`)."""
@@ -59,7 +57,7 @@ def _index_pattern(code: str, pattern_graph: Graph,
             continue
         covered = cached_covered_edges(
             pattern_graph, graph, pattern_code=code,
-            max_embeddings=max_embeddings, cache=cache)
+            max_embeddings=max_embeddings)
         pairs += 1
         if covered:
             entry[idx] = covered
@@ -73,16 +71,14 @@ def _coverage_chunk_task(payload):
     """Index one chunk of patterns (module-level: runs in workers).
 
     ``payload`` is ``(graphs, [(code, pattern_graph), ...],
-    max_embeddings, use_cache)``; returns one ``(code, {graph_index:
-    covered_edges})`` pair per pattern.  Workers use their
-    process-global cache so accesses are recorded into the item's
-    delta when the coordinating ``pmap`` runs in merge mode.
+    max_embeddings)``; returns one ``(code, {graph_index:
+    covered_edges})`` pair per pattern.  In a pool worker the cache
+    accesses are recorded into the item's delta.
     """
-    graphs, chunk, max_embeddings, use_cache = payload
-    cache = get_match_cache() if use_cache else None
+    graphs, chunk, max_embeddings = payload
     graph_labels = [graph.compact().label_set() for graph in graphs]
     return [(code, _index_pattern(code, pattern_graph, graphs,
-                                  graph_labels, max_embeddings, cache))
+                                  graph_labels, max_embeddings))
             for code, pattern_graph in chunk]
 
 
@@ -96,26 +92,20 @@ class CoverageIndex:
         cluster representatives).
     max_embeddings:
         Cap on embeddings enumerated per (pattern, graph) pair.
-    cache:
-        A :class:`repro.perf.MatchCache` memoizing covered-edge sets
-        across index instances (MIDAS builds a fresh index per batch;
-        TATTOO per scan) — keyed by canonical code + graph content,
-        so the answers are identical with or without it.  Defaults to
-        the process-global cache; pass ``use_cache=False`` to opt out.
+
+    Covered-edge sets come from the process's match cache
+    (:func:`repro.perf.get_match_cache`), so they are computed once
+    across index instances (MIDAS builds a fresh index per batch,
+    and a durable service a fresh engine per batch).
     """
 
     def __init__(self, graphs: Sequence[Graph],
                  max_embeddings: int = 50,
-                 size_utility: bool = False,
-                 cache: Optional[MatchCache] = None,
-                 use_cache: bool = True) -> None:
+                 size_utility: bool = False) -> None:
         self.graphs: List[Graph] = list(graphs)
         self.max_embeddings = max_embeddings
         self.size_utility = size_utility
         self.total_edges = sum(g.size() for g in self.graphs)
-        self._cache: Optional[MatchCache] = None
-        if use_cache:
-            self._cache = cache if cache is not None else get_match_cache()
         # interned label table per graph, straight off the compact
         # view — the per-pair pruning test is then a subset check
         # instead of a per-call label-set rebuild
@@ -157,7 +147,7 @@ class CoverageIndex:
             return
         self._cover[pattern.code] = _index_pattern(
             pattern.code, pattern.graph, self.graphs, self._graph_labels,
-            self.max_embeddings, self._cache)
+            self.max_embeddings)
 
     def add_patterns(self, patterns: Iterable[Pattern],
                      workers: Optional[int] = None,
@@ -165,14 +155,13 @@ class CoverageIndex:
         """Index many patterns, optionally fanning out over a pool.
 
         With ``workers`` > 1 the not-yet-indexed patterns are chunked
-        and dispatched through :func:`repro.perf.pmap` in cache-merge
-        mode against this index's cache: each worker records its
-        covered-edge computations as a cache delta, the coordinator
-        replays them in input order, and the resulting ``_cover``
-        entries (and cache counters) are identical to the serial
-        loop's at every worker count.  Selection loops call this as a
-        pre-indexing pass so their on-demand :meth:`cover_of` lookups
-        all hit.
+        and dispatched through :func:`repro.perf.pmap`: each worker
+        records its covered-edge computations as a cache delta, the
+        coordinator replays them into the process cache in input
+        order, and the resulting ``_cover`` entries (and cache
+        counters) are identical to the serial loop's at every worker
+        count.  Selection loops call this as a pre-indexing pass so
+        their on-demand :meth:`cover_of` lookups all hit.
 
         Under an expired ``deadline`` remaining patterns are left
         unindexed (they lazily index on first use); a failed chunk
@@ -190,12 +179,8 @@ class CoverageIndex:
         chunks = [pending[at:at + chunk_size]
                   for at in range(0, len(pending), chunk_size)]
         deadline = deadline or Deadline(None)
-        payloads = []
-        for chunk in chunks:
-            payloads.append((self.graphs,
-                             [(p.code, p.graph) for p in chunk],
-                             self.max_embeddings,
-                             self._cache is not None))
+        payloads = [(self.graphs, [(p.code, p.graph) for p in chunk],
+                     self.max_embeddings) for chunk in chunks]
         policy = failure_policy(0, deadline.seconds)
         wave = (len(payloads) if deadline.seconds is None
                 else max(1, worker_count))
@@ -206,8 +191,7 @@ class CoverageIndex:
                          payloads[start:start + wave],
                          workers=worker_count,
                          on_item_failure=policy,
-                         site="patterns.coverage",
-                         cache_merge=self._cache)
+                         site="patterns.coverage")
             for offset, outcome in enumerate(batch):
                 if isinstance(outcome, ItemFailure):
                     # chunk lost to a fault: recompute serially
@@ -368,17 +352,6 @@ class CoverageIndex:
         for pattern in patterns:
             covered |= self.covered_graphs(pattern)
         return len(covered) / len(self.graphs)
-
-    def cache_stats(self) -> Optional[Dict[str, float]]:
-        """Stats of the backing match cache, or None when uncached.
-
-        When the index is backed by the process-global cache these
-        counters also appear under ``"matching"`` in
-        :func:`repro.obs.snapshot`, the one-stop view of the process.
-        """
-        if self._cache is None:
-            return None
-        return self._cache.stats()
 
     def __len__(self) -> int:
         return len(self._cover)

@@ -563,11 +563,10 @@ def greedy_select(candidates: Sequence[Pattern], budget: PatternBudget,
 
     ``workers`` > 1 pre-indexes the admissible candidates through
     :meth:`repro.patterns.index.CoverageIndex.add_patterns`, fanning
-    the covered-edge computations out over a pool in cache-merge mode
-    before the (inherently sequential) sweep starts.  The sweep
-    evaluates every admissible candidate's coverage anyway, so
-    pre-indexing changes which process computes each entry but not a
-    single result.
+    the covered-edge computations out over a pool before the
+    (inherently sequential) sweep starts.  The sweep evaluates every
+    admissible candidate's coverage anyway, so pre-indexing changes
+    which process computes each entry but not a single result.
 
     The sweep is an anytime algorithm: it always completes at least
     one evaluation, polls ``deadline`` between rounds *and* every

@@ -13,15 +13,14 @@ auditable in one place:
   in-process map whenever it is unavailable.
 * :class:`MatchCache` — a bounded LRU cache for subgraph-matching
   results, keyed by ``(pattern canonical code, graph fingerprint)``,
-  with hit/miss/eviction counters.  ``pmap(..., cache_merge=cache)``
-  runs in-process items straight against ``cache`` (a context-local
-  binding read by :func:`get_match_cache`), and makes it *mergeable*
-  across the process boundary: pool workers are seeded with its
-  hottest entries and record each item's accesses into a
-  :class:`CacheDelta` (shipped back next to the trace capture) that
-  is replayed into ``cache`` in input order — so hit/miss counters
-  are identical at every worker count and warm engine-lifetime
-  caches stay warm inside the pool.
+  with hit/miss/eviction counters.  The process has one,
+  :func:`get_match_cache`, and every pipeline and MIDAS engine uses
+  it.  ``pmap`` makes it *mergeable* across the process boundary:
+  pool workers are seeded with its hottest entries and record each
+  item's accesses into a :class:`CacheDelta` (shipped back next to
+  the trace capture) that is replayed into it in input order — so
+  hit/miss counters are identical at every worker count and a warm
+  cache stays warm inside the pool.
 
 Fault tolerance (``max_retries``/``on_item_failure``/
 ``item_timeout_s`` on :func:`pmap`) keeps those contracts under

@@ -17,9 +17,12 @@ object churn:
 
 Entries are bounded (LRU eviction) and instrumented: hits, misses,
 evictions, and the number of underlying VF2 invocations are all
-observable through :func:`repro.obs.matching_snapshot`.  Cached
-and uncached execution are interchangeable by construction — every
-cached value is exactly what the wrapped matcher would recompute.
+observable through :func:`repro.obs.matching_snapshot`.  A cached
+value is what the wrapped matcher returned for the first pattern
+object that asked.  Subgraph tests, canonical codes and complete
+covered-edge sets do not depend on the pattern's node numbering, so
+any isomorphic pattern would recompute the same value; a covered-edge
+set cut short by ``max_embeddings`` is that first pattern's.
 
 Merging across workers
 ----------------------
@@ -41,14 +44,13 @@ nested cache access between a missed lookup and its store: one
 logical access, one log entry, whatever the recording cache already
 contained.  Keep it that way when adding helpers.
 
-:func:`repro.perf.pmap` drives both ends (``cache_merge=``): workers
-are seeded at startup with :meth:`MatchCache.hot_entries` (so
-engine-lifetime caches such as MIDAS's keep paying off inside the
-pool), record one delta per item and ship it next to the item's
-trace capture.  Items ``pmap`` runs in-process need no protocol at
-all: while one runs, :func:`get_match_cache` returns the caller's
-``cache_merge`` in that context (a :mod:`contextvars` binding, so
-other threads never see it) and the accesses count directly.
+:func:`repro.perf.pmap` drives both ends for the process cache
+(:func:`get_match_cache`, the only one the library uses): workers are
+seeded at startup with its :meth:`MatchCache.hot_entries` (so answers
+earlier runs left in it keep paying off inside the pool), record one
+delta per item and ship it next to the item's trace capture.  Items
+``pmap`` runs in-process need no protocol at all: they read and count
+against the process cache directly.
 """
 
 from __future__ import annotations
@@ -58,7 +60,6 @@ import os
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
-from contextvars import ContextVar
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from repro.errors import OptionError
@@ -296,48 +297,26 @@ def _fresh_lock_in_child() -> None:
 
 os.register_at_fork(after_in_child=_fresh_lock_in_child)
 
-#: The caller's ``cache_merge`` while :func:`repro.perf.pmap` runs an
-#: item in-process; context-local, so no other thread ever sees it.
-_bound_cache: "ContextVar[Optional[MatchCache]]" = ContextVar(
-    "repro_bound_match_cache", default=None)
-
 
 def get_match_cache() -> MatchCache:
-    """The cache call sites share: the process-global one, or the
-    caller's ``cache_merge`` while :func:`repro.perf.pmap` runs an
-    item in-process in this context."""
-    bound = _bound_cache.get()
-    return _global_cache if bound is None else bound
-
-
-@contextmanager
-def _bind_match_cache(cache: Optional[MatchCache]) -> Iterator[None]:
-    """Make :func:`get_match_cache` return ``cache`` in this context
-    for the duration of the block (``None`` leaves it unchanged)."""
-    token = _bound_cache.set(get_match_cache() if cache is None else cache)
-    try:
-        yield
-    finally:
-        _bound_cache.reset(token)
+    """The process's match cache, the one every ``cached_*`` helper
+    uses (in a pool worker, the worker's own, which records into the
+    item's :class:`CacheDelta`)."""
+    return _global_cache
 
 
 def cached_covered_edges(pattern: Graph, target: Graph,
                          pattern_code: Optional[str] = None,
-                         max_embeddings: Optional[int] = 200,
-                         cache: Optional[MatchCache] = None) -> EdgeSet:
+                         max_embeddings: Optional[int] = 200) -> EdgeSet:
     """Memoized :func:`repro.matching.isomorphism.covered_edges`.
 
     ``pattern_code`` (the pattern's canonical code) is computed when
     not supplied; callers holding a :class:`repro.patterns.base.
     Pattern` should pass ``pattern.code`` to avoid recomputing it.
-    ``cache=None`` disables memoization but still counts the VF2 call.
     """
-    if cache is None:
-        metrics.inc("matching.vf2_calls")
-        return frozenset(covered_edges(pattern, target,
-                                       max_embeddings=max_embeddings))
     if pattern_code is None:
-        pattern_code = cached_canonical_code(pattern, cache=cache)
+        pattern_code = cached_canonical_code(pattern)
+    cache = get_match_cache()
     key = ("cov", pattern_code, graph_fingerprint(target), max_embeddings)
     found, value = cache.lookup(key)
     if found:
@@ -351,8 +330,7 @@ def cached_covered_edges(pattern: Graph, target: Graph,
 
 def cached_is_subgraph(pattern: Graph, target: Graph,
                        pattern_code: Optional[str] = None,
-                       induced: bool = False,
-                       cache: Optional[MatchCache] = None) -> bool:
+                       induced: bool = False) -> bool:
     """Memoized :func:`repro.matching.isomorphism.is_subgraph`.
 
     Carries the same ``"matching.is_subgraph"`` chaos-injection site
@@ -362,11 +340,9 @@ def cached_is_subgraph(pattern: Graph, target: Graph,
     changing their fault-injection surface.
     """
     chaos_site("matching.is_subgraph")
-    if cache is None:
-        metrics.inc("matching.vf2_calls")
-        return find_embedding(pattern, target, induced=induced) is not None
     if pattern_code is None:
-        pattern_code = cached_canonical_code(pattern, cache=cache)
+        pattern_code = cached_canonical_code(pattern)
+    cache = get_match_cache()
     key = ("sub", pattern_code, graph_fingerprint(target), induced)
     found, value = cache.lookup(key)
     if found:
@@ -377,8 +353,7 @@ def cached_is_subgraph(pattern: Graph, target: Graph,
     return result
 
 
-def cached_canonical_code(graph: Graph,
-                          cache: Optional[MatchCache] = None) -> str:
+def cached_canonical_code(graph: Graph) -> str:
     """Memoized :func:`repro.matching.canonical.canonical_code`.
 
     Keyed by the content fingerprint: identical re-sampled subgraphs
@@ -387,8 +362,7 @@ def cached_canonical_code(graph: Graph,
     it once each, after which their shared code unifies the rest of
     the cache.
     """
-    if cache is None:
-        cache = get_match_cache()
+    cache = get_match_cache()
     key = ("canon", graph_fingerprint(graph))
     found, value = cache.lookup(key)
     if found:

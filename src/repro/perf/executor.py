@@ -20,14 +20,14 @@ Every item runs through one attempt runner, in one of two legs.  In
 the *pool* leg each item is one future; its trace subtree, every
 match-cache access of all its attempts (one :class:`repro.perf.cache.
 CacheDelta`) and the metrics-registry counters they made ship back
-with the result, and the coordinator re-attaches, replays and adds
-them in input order.  In the *in-process* leg spans attach in place,
-counters go straight to the registry, and cache accesses go straight
-to the caller's ``cache_merge``, which :func:`repro.perf.cache.
-get_match_cache` returns while the call runs, in the calling context
-only — nothing rebinds the process-global cache.  Either way the
-merged trace is identical to a serial one up to wall-clock fields,
-and the cache and work counters are identical at every worker count.
+with the result, and the coordinator re-attaches them, replays the
+delta into the process's match cache (:func:`repro.perf.cache.
+get_match_cache`) and adds the counters, in input order.  In the
+*in-process* leg spans attach in place, and counters and cache
+accesses go straight to the registry and the process cache.  Either
+way the merged trace is identical to a serial one up to wall-clock
+fields, and the cache and work counters are identical at every worker
+count.
 
 A failing item climbs one deterministic ladder at every worker count:
 attempts ``0..max_retries`` run where the item runs, with seeded
@@ -48,18 +48,12 @@ import os
 import pickle
 import time
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import nullcontext
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, \
     TypeVar
 
 from repro.errors import OptionError, WorkerFailure
 from repro.obs.metrics import inc as _metric_inc, registry
-from repro.perf.cache import (
-    CacheDelta,
-    MatchCache,
-    _bind_match_cache,
-    get_match_cache,
-)
+from repro.perf.cache import CacheDelta, get_match_cache
 from repro.obs.tracing import SpanRecord, attach_record, capture, span, \
     tracing_enabled
 from repro.resilience.chaos import (
@@ -97,8 +91,7 @@ _POOL_ERRORS = (OSError, ImportError, AttributeError, BrokenProcessPool,
 #: Backoff scale between in-place retries (see :func:`backoff_s`).
 _RETRY_BASE_S = 0.001
 
-#: Bound on the hot-entry snapshot pool workers are seeded with in
-#: cache-merge mode.
+#: Bound on the hot-entry snapshot pool workers are seeded with.
 _CACHE_SEED_LIMIT = 512
 
 #: ``(status, attempts_used, value, trace_record, delta, counters)``.
@@ -139,14 +132,13 @@ def derive_seeds(root_seed: int, count: int) -> List[int]:
     return [derive_seed(root_seed, index) for index in range(count)]
 
 
-def _mark_worker(seed_pairs=None) -> None:
+def _mark_worker(seed_pairs) -> None:
     os.environ[_IN_WORKER_ENV] = "1"
-    if seed_pairs:
-        # warm the worker's process-global cache from the
-        # coordinator's hot snapshot; seeding is silent, so it can
-        # only save compute — merged hit/miss accounting is replayed
-        # on the coordinator and never sees the seed
-        get_match_cache().seed(seed_pairs)
+    # warm the worker's process cache from the coordinator's hot
+    # snapshot; seeding is silent, so it can only save compute —
+    # merged hit/miss accounting is replayed on the coordinator and
+    # never sees the seed
+    get_match_cache().seed(seed_pairs)
 
 
 class ItemFailure:
@@ -266,12 +258,10 @@ def _pool_entry(payload) -> _Outcome:
     coordinator's counts, or the previous item's), and ship the
     outcome, trace record, delta and counters back — every component
     picklable by construction."""
-    (fn, index, item, attempts, seed, site_name, plan, traced,
-     merge) = payload
-    delta = CacheDelta() if merge else None
+    fn, index, item, attempts, seed, site_name, plan, traced = payload
+    delta = CacheDelta()
     registry().reset()
-    with (get_match_cache().recording(delta) if delta is not None
-          else nullcontext()):
+    with get_match_cache().recording(delta):
         outcome = _run_attempts(fn, index, item, 0, attempts, seed,
                                 site_name, plan, ship_record=traced)
     return outcome + (delta, registry().snapshot()["counters"])
@@ -280,7 +270,6 @@ def _pool_entry(payload) -> _Outcome:
 def _pool_outcomes(fn: Callable, work: List, workers: int,
                    attempts: int, seed: int, site_name: str,
                    plan: Optional[_FaultPlan], traced: bool,
-                   cache_merge: Optional[MatchCache],
                    item_timeout_s: Optional[float]
                    ) -> List[Optional[_Outcome]]:
     """Run every item in a process pool, one future each, so a single
@@ -289,14 +278,13 @@ def _pool_outcomes(fn: Callable, work: List, workers: int,
     A slot stays ``None`` for an item the pool did not resolve (a
     pool failure, or an item behind a timed-out one); the coordinator
     runs those in-process.  Workers are seeded with the hottest
-    entries of ``cache_merge``.  Once every future has resolved the
+    entries of the process cache.  Once every future has resolved the
     pool is joined; a timeout instead abandons it —
     ``shutdown(wait=False, cancel_futures=True)`` — after salvaging
     siblings that already finished.
     """
     outcomes: List[Optional[_Outcome]] = [None] * len(work)
-    merge = cache_merge is not None
-    seeds = cache_merge.hot_entries(_CACHE_SEED_LIMIT) if merge else None
+    seeds = get_match_cache().hot_entries(_CACHE_SEED_LIMIT)
     pool: Optional[concurrent.futures.ProcessPoolExecutor] = None
     abandon = False
     try:
@@ -306,7 +294,7 @@ def _pool_outcomes(fn: Callable, work: List, workers: int,
         futures = [
             pool.submit(_pool_entry,
                         (fn, index, item, attempts, seed, site_name,
-                         plan, traced, merge))
+                         plan, traced))
             for index, item in enumerate(work)]
         for index, future in enumerate(futures):
             try:
@@ -342,8 +330,7 @@ def pmap(fn: Callable[[T], R], items: Sequence[T],
          on_item_failure: str = "raise",
          retry_seed: int = 0,
          item_timeout_s: Optional[float] = None,
-         site: str = "pmap.item",
-         cache_merge: Optional[MatchCache] = None) -> List[R]:
+         site: str = "pmap.item") -> List[R]:
     """Map ``fn`` over ``items``, in parallel, preserving input order.
 
     Parameters
@@ -374,18 +361,16 @@ def pmap(fn: Callable[[T], R], items: Sequence[T],
     site:
         Failure-site name for error records and for
         :mod:`repro.resilience.chaos` fault plans targeting this call.
-    cache_merge:
-        The match cache the items' accesses land in.  In-process
-        items read and count against it directly
-        (:func:`repro.perf.cache.get_match_cache` returns it while
-        they run).  Pool workers are seeded with its hottest entries
-        and record each item's accesses, over all of its attempts,
-        into a :class:`repro.perf.cache.CacheDelta` that the
-        coordinator replays into it in input order — so its hit/miss
-        counters move identically at every worker count.
 
-    The registry counters a pool item makes, over all of its
-    attempts, ship home and are added in input order.
+    Every item's match-cache accesses land in the process cache
+    (:func:`repro.perf.cache.get_match_cache`).  In-process items
+    read and count against it directly.  Pool workers are seeded
+    with its hottest entries and record each item's accesses, over
+    all of its attempts, into a :class:`repro.perf.cache.CacheDelta`
+    that the coordinator replays into it in input order — so its
+    hit/miss counters move identically at every worker count.  The
+    registry counters a pool item makes ship home the same way and
+    are added in input order.
 
     The return value is exactly ``[fn(item) for item in items]``; the
     pool is an implementation detail that can never change the result.
@@ -407,40 +392,39 @@ def pmap(fn: Callable[[T], R], items: Sequence[T],
     if workers > 1 and len(work) > 1 and not os.environ.get(_IN_WORKER_ENV):
         outcomes = _pool_outcomes(fn, work, workers, attempts, retry_seed,
                                   site, plan, tracing_enabled(),
-                                  cache_merge, item_timeout_s)
+                                  item_timeout_s)
     else:
         _metric_inc("perf.pmap.serial_calls")
         outcomes = [None] * len(work)
     results: List = []
-    with _bind_match_cache(cache_merge):
-        for index, item in enumerate(work):
-            outcome = outcomes[index]
-            if outcome is None:
-                status, used, value, _ = _run_attempts(
-                    fn, index, item, 0, attempts, retry_seed, site, plan)
-            else:
-                status, used, value, record, delta, counts = outcome
-                if record is not None:
-                    attach_record(record)
-                if cache_merge is not None and delta is not None:
-                    cache_merge.merge_delta(delta)
-                for name, count in (counts or {}).items():
-                    _metric_inc(name, count)
-            if status == "fail":
-                # one in-process re-run, continuing the global attempt
-                # numbering (a timed-out fn is assumed genuinely stuck
-                # and is never re-run)
-                _metric_inc("perf.pmap.serial_reruns")
-                status, rerun_used, value, _ = _run_attempts(
-                    fn, index, item, attempts, 1, retry_seed, site, plan,
-                    reraise=on_item_failure == "raise")
-                used += rerun_used
-            if status == "ok":
-                results.append(value)
-            elif on_item_failure == "skip":
-                _metric_inc("perf.pmap.items_skipped")
-                results.append(ItemFailure(index, site, used, str(value)))
-            else:
-                raise WorkerFailure(site, key=index, attempt=max_retries,
-                                    kind="hang", cause=value)
+    for index, item in enumerate(work):
+        outcome = outcomes[index]
+        if outcome is None:
+            status, used, value, _ = _run_attempts(
+                fn, index, item, 0, attempts, retry_seed, site, plan)
+        else:
+            status, used, value, record, delta, counts = outcome
+            if record is not None:
+                attach_record(record)
+            if delta is not None:
+                get_match_cache().merge_delta(delta)
+            for name, count in (counts or {}).items():
+                _metric_inc(name, count)
+        if status == "fail":
+            # one in-process re-run, continuing the global attempt
+            # numbering (a timed-out fn is assumed genuinely stuck
+            # and is never re-run)
+            _metric_inc("perf.pmap.serial_reruns")
+            status, rerun_used, value, _ = _run_attempts(
+                fn, index, item, attempts, 1, retry_seed, site, plan,
+                reraise=on_item_failure == "raise")
+            used += rerun_used
+        if status == "ok":
+            results.append(value)
+        elif on_item_failure == "skip":
+            _metric_inc("perf.pmap.items_skipped")
+            results.append(ItemFailure(index, site, used, str(value)))
+        else:
+            raise WorkerFailure(site, key=index, attempt=max_retries,
+                                kind="hang", cause=value)
     return results

@@ -262,10 +262,23 @@ class PatternService:
                             wal_seq: Optional[int] = None
                             ) -> "tuple[EngineSnapshot, MaintenanceReport]":
         """Apply an already-logged batch; callers hold
-        ``engine_lock``."""
+        ``engine_lock``.
+
+        A batch the engine fails on is rolled back before the error
+        propagates: the engine, which may hold part of the batch, is
+        dropped, and the unchanged snapshot is committed at the
+        batch's ``wal_seq``, so recovery never replays a batch the
+        client saw fail.
+        """
         try:
             engine = self.ensure_midas()
-            report = engine.apply_batch(batch)
+            try:
+                report = engine.apply_batch(batch)
+            except Exception:
+                self._midas = None
+                self._commit_snapshot(self.snapshots.current(),
+                                      wal_seq=wal_seq)
+                raise
             snapshot = self.publish_midas()
             self._commit_snapshot(snapshot, wal_seq=wal_seq)
         finally:

@@ -96,10 +96,12 @@ def handle_build(service, request: Request) -> Dict[str, object]:
     :func:`repro.service.wire.strip_volatile`) to serializing the
     same :func:`run_catapult` / :func:`run_tattoo` call made
     directly against the library, because both go through
-    :func:`wire.build_body`.
+    :func:`wire.build_body`.  The build runs at the service's own
+    ``workers``; a request cannot choose how many processes it forks.
     """
     body = request.body
-    config = wire.config_from_payload(body.get("config"))
+    config = replace(wire.config_from_payload(body.get("config")),
+                     workers=service.pipeline.workers)
     if config.budget is None:
         config = replace(config, budget=service.pipeline.budget)
     if config.deadline_s is None \

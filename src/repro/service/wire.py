@@ -122,7 +122,8 @@ def config_from_payload(payload: object) -> PipelineConfig:
 
     The wire shape mirrors the dataclass: ``budget`` is
     ``{"max_patterns": k, "min_size": n, "max_size": m}``, everything
-    else maps 1:1 (``options`` stays a plain mapping).  Unknown keys
+    else maps 1:1 (``options`` stays a plain mapping) except
+    ``workers``, which the service sets itself.  Unknown keys
     raise :class:`repro.errors.OptionError` → HTTP 400, an
     unsatisfiable budget :class:`repro.errors.BudgetError` (also
     400); invalid ``options`` and values of the wrong type raise
@@ -147,9 +148,8 @@ def config_from_payload(payload: object) -> PipelineConfig:
         except (KeyError, TypeError, ValueError) as exc:
             raise OptionError(
                 f"malformed config.budget: {exc}") from exc
-    allowed = {"seed", "workers", "use_cache", "trace",
-               "max_embeddings", "deadline_s", "max_retries",
-               "options"}
+    allowed = {"seed", "trace", "max_embeddings", "deadline_s",
+               "max_retries", "options"}
     unknown = sorted(set(data) - allowed)
     if unknown:
         raise OptionError(

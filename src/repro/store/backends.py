@@ -45,7 +45,6 @@ from repro.store.format import (
     WAL_MAGIC,
     atomic_write,
     decode_pattern_blob,
-    encode_graph_record,
     encode_pattern_blob,
 )
 from repro.store.manifest import (
@@ -53,7 +52,7 @@ from repro.store.manifest import (
     load_manifest,
     write_manifest,
 )
-from repro.store.segments import SegmentStore, record_digest
+from repro.store.segments import SegmentStore, graph_record_digest
 from repro.store.wal import WriteAheadLog
 
 #: Chaos site covering the pattern blob's atomic write.
@@ -293,7 +292,7 @@ class DiskBackend(RepositoryBackend):
             "repository": [
                 {"name": graph.name,
                  "fingerprint": graph_fingerprint(graph),
-                 "record": record_digest(encode_graph_record(graph))}
+                 "record": graph_record_digest(graph)}
                 for graph in members],
             "patterns": {"file": blob_name, "sha256": blob_sha,
                          "count": len(patterns)},

@@ -6,11 +6,12 @@ encode_graph_record` payloads.  Addressing is content-based at two
 levels: the manifest references repository members by the **content
 fingerprint** the match cache already computes
 (:func:`repro.perf.cache.graph_fingerprint`), while the store's
-internal dedup key is the SHA-256 of the exact serialized record —
-the fingerprint hashes *sorted* labeled content, so two graphs that
-differ only in name or insertion order (state the lossless round
-trip must preserve) still get distinct records.  A graph that
-re-enters the repository after a remove/add cycle is stored once.
+internal dedup key is the SHA-256 of the exact serialized record
+(like the fingerprint, a view of the graph) — the fingerprint hashes
+*sorted* labeled content, so two graphs that differ only in name or
+insertion order (state the lossless round trip must preserve) still
+get distinct records.  A graph that re-enters the repository after a
+remove/add cycle is stored once.
 
 Segments are immutable once the manifest has sealed them at a byte
 length; recovery compares each file against its sealed extent:
@@ -57,6 +58,13 @@ def _segment_name(index: int) -> str:
 def record_digest(record: bytes) -> str:
     """The store's exact-content address for one serialized graph."""
     return hashlib.sha256(record).hexdigest()
+
+
+def graph_record_digest(graph: Graph) -> str:
+    """:func:`record_digest` of ``graph``'s record, memoized as the
+    graph's ``"record_digest"`` view: one encode per version."""
+    return graph.view("record_digest",
+                      lambda g: record_digest(encode_graph_record(g)))
 
 
 class SegmentStore:
@@ -112,13 +120,13 @@ class SegmentStore:
         number of new records written."""
         written = 0
         for graph in graphs:
-            record = encode_graph_record(graph)
-            digest = record_digest(record)
+            digest = graph_record_digest(graph)
             if digest in self._stored:
                 continue
             handle, entry = self._open_active()
             frame_len = durable_append(
-                handle, record, SITE_APPEND, key=graph.name,
+                handle, encode_graph_record(graph), SITE_APPEND,
+                key=graph.name,
                 path=self._path(str(entry["name"])))
             entry["bytes"] = int(entry["bytes"]) + frame_len
             entry["records"] = int(entry["records"]) + 1

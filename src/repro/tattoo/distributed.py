@@ -244,8 +244,7 @@ def select_patterns_distributed(network: Graph, budget: PatternBudget,
                     if view.size() > 0:
                         worker_config = replace(
                             config, seed=config.seed + worker_id,
-                            workers=None, use_cache=True, trace=False,
-                            deadline_s=None)
+                            workers=None, trace=False, deadline_s=None)
                         by_class = extract_candidates(view, budget,
                                                       worker_config)
                         candidates: List[Pattern] = []

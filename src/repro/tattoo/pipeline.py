@@ -28,7 +28,6 @@ from repro.patterns.base import Pattern, PatternBudget, PatternSet
 from repro.patterns.index import CoverageIndex
 from repro.patterns.selection import SelectionResult, SetScorer, greedy_select
 from repro.patterns.topologies import TopologyClass
-from repro.perf.cache import get_match_cache
 from repro.perf.executor import ItemFailure, derive_seed, \
     failure_policy, pmap, resolve_workers
 from repro.resilience.deadline import CompletionReport, Deadline
@@ -44,13 +43,9 @@ class TattooConfig(RunConfig):
     ``workers`` fans the per-topology-class extraction out over
     :func:`repro.perf.pmap` processes; each class extracts with a seed
     split off ``seed``, so results are identical at every worker
-    count.  ``use_cache`` toggles the shared VF2 match cache used by
-    the greedy selection's coverage index — extraction and coverage
-    pmap calls then run in cache-merge mode, so worker cache hits
-    fold back into the coordinator's cache deterministically.
-    ``truss_threshold`` splits G_T from G_O; ``samples_scale`` scales
-    every extractor's sample count; ``classes`` picks the topology
-    classes to extract (empty means all of them).
+    count.  ``truss_threshold`` splits G_T from G_O; ``samples_scale``
+    scales every extractor's sample count; ``classes`` picks the
+    topology classes to extract (empty means all of them).
     """
 
     truss_threshold: int = DEFAULT_TRUSS_THRESHOLD
@@ -192,7 +187,6 @@ def extract_candidates(network: Graph, budget: PatternBudget,
         policy = failure_policy(config.max_retries, config.deadline_s)
         wave = (len(tasks) if deadline.seconds is None
                 else max(1, resolve_workers(config.workers)))
-        cache_merge = get_match_cache() if config.use_cache else None
         done = failed = 0
         for start in range(0, len(tasks), wave):
             if start and deadline.check("tattoo.extract"):
@@ -202,8 +196,7 @@ def extract_candidates(network: Graph, budget: PatternBudget,
                            max_retries=config.max_retries,
                            on_item_failure=policy,
                            retry_seed=config.seed,
-                           site="tattoo.extract",
-                           cache_merge=cache_merge)
+                           site="tattoo.extract")
             for cls, patterns in zip(task_classes[start:start + wave],
                                      results):
                 if isinstance(patterns, ItemFailure):
@@ -262,7 +255,7 @@ def _run_tattoo(network: Graph, budget: PatternBudget,
             stage.add("candidates", len(candidates))
             index = CoverageIndex(
                 [network], max_embeddings=config.max_embeddings,
-                size_utility=True, use_cache=config.use_cache)
+                size_utility=True)
             scorer = SetScorer(index, weights=config.weights)
             selection = greedy_select(candidates, budget, scorer,
                                       deadline=deadline,

@@ -21,11 +21,13 @@ import random
 
 import pytest
 
+from repro import obs
 from repro.graph import CompactGraph, Graph, decode_graph
 from repro.matching.isomorphism import WILDCARD, SubgraphMatcher
 from repro.patterns.base import PatternBudget
 from repro.patterns.index import CoverageIndex
-from repro.perf import CacheDelta, MatchCache, cached_covered_edges
+from repro.perf import CacheDelta, MatchCache, cached_covered_edges, \
+    get_match_cache
 from repro.tattoo.candidates import extract_chains
 from tests.oracles import LegacyMatcher, legacy_pickle_payload
 
@@ -290,11 +292,11 @@ class TestWorkerCountInvariance:
     def index_stats(self, patterns, workers):
         graphs = [random_graph(seed, nodes=14, extra_edges=10)
                   for seed in range(20, 24)]
-        cache = MatchCache()
-        index = CoverageIndex(graphs, max_embeddings=10, cache=cache)
+        obs.reset(clear_cache_entries=True)
+        index = CoverageIndex(graphs, max_embeddings=10)
         index.add_patterns(patterns, workers=workers)
         covers = {p.code: index.cover_of(p) for p in patterns}
-        stats = cache.stats()
+        stats = get_match_cache().stats()
         return covers, {"hits": stats["hits"],
                         "misses": stats["misses"]}
 
@@ -307,11 +309,12 @@ class TestWorkerCountInvariance:
     def test_cached_covered_edges_delta_protocol(self):
         pattern = wildcard_pattern()
         target = random_graph(30)
-        cache = MatchCache()
+        obs.reset(clear_cache_entries=True)
+        cache = get_match_cache()
         delta = CacheDelta()
         with cache.recording(delta):
-            first = cached_covered_edges(pattern, target, cache=cache)
-            second = cached_covered_edges(pattern, target, cache=cache)
+            first = cached_covered_edges(pattern, target)
+            second = cached_covered_edges(pattern, target)
         assert first == second
         assert cache.hits == cache.misses == 0
         replay = MatchCache()

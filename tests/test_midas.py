@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.core import PipelineConfig
 from repro.datasets import (
     EvolvingRepository,
@@ -235,3 +236,15 @@ class TestMidas:
         graph = generate_molecule(rng, name="assigned")
         midas.apply_batch(UpdateBatch(added=[graph]))
         assert "assigned" in midas.membership
+
+    def test_rebuilt_engine_reuses_the_process_cache(self, repo, budget):
+        # a durable service builds a fresh engine for every batch; its
+        # matching questions are the ones the previous engine asked
+        config = PipelineConfig(budget=budget, seed=1)
+        obs.reset(clear_cache_entries=True)
+        first = Midas(repo[:12], config)
+        assert obs.matching_snapshot()["vf2_calls"] > 0
+        obs.reset()
+        second = Midas(repo[:12], config)
+        assert obs.matching_snapshot()["vf2_calls"] == 0
+        assert second.patterns.codes() == first.patterns.codes()

@@ -6,9 +6,9 @@ allowed to exist by (DESIGN.md):
 * **parallel == serial** — ``pmap`` at any worker count returns
   exactly what a serial comprehension returns, including for seeded
   randomized work, because seeds are split per item, not shared;
-* **cached == uncached** — pipelines produce identical pattern sets
-  and scores with the match cache on or off, while performing
-  strictly fewer VF2 searches with it on.
+* **warm == cold** — pipelines produce identical pattern sets and
+  scores on a cold match cache and on one a previous run filled,
+  while performing strictly fewer VF2 searches on the warm one.
 """
 
 import random
@@ -79,8 +79,7 @@ def _gated_access(tag):
 
 def _probe_subgraph(task):
     pattern, target, code = task
-    return cached_is_subgraph(pattern, target, pattern_code=code,
-                              cache=get_match_cache())
+    return cached_is_subgraph(pattern, target, pattern_code=code)
 
 
 class TestDeriveSeed:
@@ -158,7 +157,7 @@ class TestPmapCacheMerge:
                       a_out=threading.Event())
         threads = {tag: threading.Thread(
             target=pmap, args=(_gated_access, [tag]),
-            kwargs={"workers": 1, "cache_merge": original})
+            kwargs={"workers": 1})
             for tag in "ab"}
         threads["a"].start()
         assert _GATES["a_in"].wait(10)
@@ -174,17 +173,16 @@ class TestPmapCacheMerge:
         pattern = _triangle()
         target = generate_chemical_repository(1, seed=3)[0]
         code = canonical_code(pattern)
-        cache = MatchCache()
-        expected = cached_is_subgraph(pattern, target, pattern_code=code,
-                                      cache=cache)
+        obs.reset(clear_cache_entries=True)
+        cache = get_match_cache()
+        expected = cached_is_subgraph(pattern, target, pattern_code=code)
         # bury the answer below the 512 hottest entries a pool worker
         # would be seeded with
         for filler in range(600):
             cache.store(("filler", filler), filler)
-        cache.reset_stats()
         obs.reset()
-        assert pmap(_probe_subgraph, [(pattern, target, code)], workers=1,
-                    cache_merge=cache) == [expected]
+        assert pmap(_probe_subgraph, [(pattern, target, code)],
+                    workers=1) == [expected]
         assert obs.matching_snapshot()["vf2_calls"] == 0
         assert (cache.hits, cache.misses) == (1, 0)
 
@@ -288,33 +286,32 @@ class TestCachedMatchers:
     def test_covered_edges_agrees_with_uncached(self):
         pattern = _triangle()
         repo = generate_chemical_repository(6, seed=3)
-        cache = MatchCache()
+        obs.reset(clear_cache_entries=True)
         for graph in repo:
             direct = frozenset(covered_edges(pattern, graph,
                                              max_embeddings=50))
             first = cached_covered_edges(pattern, graph,
-                                         max_embeddings=50, cache=cache)
+                                         max_embeddings=50)
             again = cached_covered_edges(pattern, graph,
-                                         max_embeddings=50, cache=cache)
+                                         max_embeddings=50)
             assert first == direct
             assert again == direct
 
     def test_cache_hit_skips_vf2(self):
         pattern = _triangle()
         target = generate_chemical_repository(1, seed=3)[0]
-        cache = MatchCache()
-        obs.reset()
-        cached_covered_edges(pattern, target, cache=cache)
+        obs.reset(clear_cache_entries=True)
+        cached_covered_edges(pattern, target)
         assert obs.matching_snapshot()["vf2_calls"] == 1
-        cached_covered_edges(pattern, target, cache=cache)
+        cached_covered_edges(pattern, target)
         # answered from the cache
         assert obs.matching_snapshot()["vf2_calls"] == 1
 
     def test_canonical_code_agrees(self):
         g = _triangle()
-        cache = MatchCache()
-        assert cached_canonical_code(g, cache=cache) == canonical_code(g)
-        assert cached_canonical_code(g, cache=cache) == canonical_code(g)
+        obs.reset(clear_cache_entries=True)
+        assert cached_canonical_code(g) == canonical_code(g)
+        assert cached_canonical_code(g) == canonical_code(g)
 
 
 @pytest.fixture(scope="module")
@@ -342,11 +339,14 @@ def _tattoo(network, **overrides):
 
 class TestPipelineEquivalence:
     def test_catapult_cache_transparent(self, small_repo):
-        cached = _catapult(small_repo, use_cache=True)
-        uncached = _catapult(small_repo, use_cache=False)
-        assert cached.patterns.codes() == uncached.patterns.codes()
-        assert cached.selection.score == \
-            pytest.approx(uncached.selection.score)
+        obs.reset(clear_cache_entries=True)
+        cold = _catapult(small_repo)
+        obs.reset()
+        warm = _catapult(small_repo)
+        # the rerun is answered entirely from the cache
+        assert obs.matching_snapshot()["vf2_calls"] == 0
+        assert warm.patterns.codes() == cold.patterns.codes()
+        assert warm.selection.score == pytest.approx(cold.selection.score)
 
     def test_catapult_workers_transparent(self, small_repo):
         serial = _catapult(small_repo, workers=1)
@@ -358,11 +358,13 @@ class TestPipelineEquivalence:
             pytest.approx(parallel.selection.score)
 
     def test_tattoo_cache_transparent(self, small_network):
-        cached = _tattoo(small_network, use_cache=True)
-        uncached = _tattoo(small_network, use_cache=False)
-        assert cached.patterns.codes() == uncached.patterns.codes()
-        assert cached.selection.score == \
-            pytest.approx(uncached.selection.score)
+        obs.reset(clear_cache_entries=True)
+        cold = _tattoo(small_network)
+        obs.reset()
+        warm = _tattoo(small_network)
+        assert obs.matching_snapshot()["vf2_calls"] == 0
+        assert warm.patterns.codes() == cold.patterns.codes()
+        assert warm.selection.score == pytest.approx(cold.selection.score)
 
     def test_tattoo_workers_transparent(self, small_network):
         serial = _tattoo(small_network, workers=1)
@@ -375,13 +377,15 @@ class TestPipelineEquivalence:
 class TestVf2CallReduction:
     """The acceptance property: caching strictly reduces VF2 work."""
 
-    def _greedy_twice(self, repo, candidates, budget, cache, use_cache):
-        """Two back-to-back selections, as MIDAS's scans do."""
-        obs.reset()
+    def _greedy_twice(self, repo, candidates, budget, cold):
+        """Two back-to-back selections, as MIDAS's scans do; ``cold``
+        empties the cache before each."""
+        obs.reset(clear_cache_entries=True)
         selections = []
         for _ in range(2):
-            index = CoverageIndex(repo, max_embeddings=20, cache=cache,
-                                  use_cache=use_cache)
+            if cold:
+                get_match_cache().clear()
+            index = CoverageIndex(repo, max_embeddings=20)
             selections.append(greedy_select(candidates, budget,
                                             SetScorer(index)))
         return selections, obs.matching_snapshot()["vf2_calls"]
@@ -392,20 +396,12 @@ class TestVf2CallReduction:
         assert candidates, "pipeline produced no candidates"
         budget = PatternBudget(3, min_size=4, max_size=7)
         uncached_sel, uncached_calls = self._greedy_twice(
-            small_repo, candidates, budget, cache=None, use_cache=False)
+            small_repo, candidates, budget, cold=True)
         cached_sel, cached_calls = self._greedy_twice(
-            small_repo, candidates, budget, cache=MatchCache(),
-            use_cache=True)
+            small_repo, candidates, budget, cold=False)
         assert cached_calls < uncached_calls
         # the second cached pass is answered entirely from the cache,
         # so at most half the uncached VF2 searches can remain
         assert cached_calls <= uncached_calls // 2
         assert [s.patterns.codes() for s in cached_sel] == \
             [s.patterns.codes() for s in uncached_sel]
-
-    def test_cache_stats_surface(self, small_repo):
-        cache = MatchCache()
-        index = CoverageIndex(small_repo, cache=cache)
-        assert index.cache_stats() == cache.stats()
-        uncached = CoverageIndex(small_repo, use_cache=False)
-        assert uncached.cache_stats() is None

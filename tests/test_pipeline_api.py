@@ -34,8 +34,8 @@ from repro.tattoo.distributed import select_patterns_distributed
 
 #: A non-default value for every run field PipelineConfig shares with
 #: the stage configs.
-NON_DEFAULT = {"seed": 9, "workers": 2, "use_cache": False,
-               "trace": True, "weights": ScoreWeights(0.5, 2.0, 1.0),
+NON_DEFAULT = {"seed": 9, "workers": 2, "trace": True,
+               "weights": ScoreWeights(0.5, 2.0, 1.0),
                "max_embeddings": 7, "deadline_s": 5.0, "max_retries": 2}
 
 #: One stage-specific option per stage config, set through options.
@@ -70,7 +70,6 @@ class TestPipelineConfig:
         config = PipelineConfig()
         assert config.budget is None
         assert config.seed == 0
-        assert config.use_cache is True
         assert config.trace is False
         with pytest.raises(Exception):
             config.seed = 3  # frozen dataclass

@@ -97,7 +97,7 @@ def network_body(config):
 #: error it must map to: the checks run where configs enter, before
 #: any pipeline work.
 MALFORMED_BUILDS = {
-    "workers-string": ({"config": {"workers": "x"}}, "PipelineError"),
+    "workers-string": ({"config": {"workers": "x"}}, "OptionError"),
     "max_retries-string": ({"config": {"max_retries": "x"}},
                            "PipelineError"),
     "max_embeddings-string": ({"config": {"max_embeddings": "x"}},
@@ -828,11 +828,10 @@ class TestWireHelpers:
 
     def test_config_round_trip(self):
         config = wire.config_from_payload(
-            {"seed": 9, "workers": 2, "deadline_s": 1.5,
+            {"seed": 9, "deadline_s": 1.5,
              "budget": {"max_patterns": 6, "min_size": 3,
                         "max_size": 9}})
         assert config.seed == 9
-        assert config.workers == 2
         assert config.deadline_s == 1.5
         assert config.budget.max_patterns == 6
         assert wire.budget_to_dict(config.budget) == {
@@ -911,6 +910,30 @@ class TestWorkersEnvIndependence:
             panels[workers] = canonical_bytes(reply.body)
             svc.close()
         assert panels["1"] == panels["4"]
+
+    def test_a_build_cannot_choose_how_many_processes_fork(
+            self, monkeypatch):
+        svc = PatternService(make_repo(12), PipelineConfig(
+            budget=BUDGET, seed=3, workers=1))
+        pools = []
+
+        def recorder(max_workers=None, **kwargs):
+            pools.append(max_workers)
+            raise OSError("this test forks no pool")
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                            recorder)
+        monkeypatch.setenv("REPRO_WORKERS", "4")
+        response = svc.dispatch("POST", "/v1/build",
+                                {"config": {"workers": 64}})
+        assert response.status == 400
+        assert response.body["error"]["type"] == "OptionError"
+        # a build runs at the service's own worker count
+        response = svc.dispatch("POST", "/v1/build",
+                                {"config": {"seed": 3}})
+        assert response.status == 200
+        assert pools == []
+        svc.close()
 
 
 if __name__ == "__main__":

@@ -29,6 +29,8 @@ import threading
 import time
 import unittest
 import warnings
+from collections import Counter
+from contextlib import ExitStack
 from unittest import mock
 
 from repro.core.pipeline import PipelineConfig
@@ -46,6 +48,7 @@ from repro.errors import (
 )
 from repro.graph.graph import Graph
 from repro.graph.io import graph_to_dict
+from repro.midas import Midas
 from repro.patterns.base import Pattern, PatternBudget, PatternSet
 from repro.perf.cache import graph_fingerprint
 from repro.resilience import FaultPlan, FaultSpec, chaos
@@ -81,6 +84,7 @@ from repro.store.format import (
 from repro.store.manifest import SITE_COMMIT
 from repro.store.segments import SegmentStore
 from repro.store import backends as backends_mod
+from repro.store import format as format_mod
 from repro.store import segments as segments_mod
 from repro.store import wal as wal_mod
 
@@ -433,6 +437,37 @@ class TestDiskBackend(unittest.TestCase):
         self.assertEqual(0, report.pending_batches)
         self.assertEqual(0, report.truncated_wal_bytes)
 
+    def test_commit_encodes_a_record_once_per_content(self):
+        # the commit of a 5-in/1-out batch on 30 graphs: records of
+        # graphs already committed are never encoded again, and an
+        # added graph's at most twice (its digest, then its append)
+        members = list(make_repo(30))
+        added = generate_chemical_repository(35, seed=11)[30:]
+        patterns = PatternSet(Pattern(g, source="store-test")
+                              for g in make_repo(4, seed=5))
+        encodes = Counter()
+
+        def counting(graph):
+            encodes[id(graph)] += 1
+            return encode_graph_record(graph)
+
+        with tempfile.TemporaryDirectory() as root:
+            backend = DiskBackend(root)
+            backend.commit(members, None, patterns, "catapult",
+                           wal_seq=0)
+            with ExitStack() as stack:
+                for module in (format_mod, segments_mod, backends_mod):
+                    if hasattr(module, "encode_graph_record"):
+                        stack.enter_context(mock.patch.object(
+                            module, "encode_graph_record", counting))
+                backend.commit(members[1:] + added, None, patterns,
+                               "catapult", wal_seq=1)
+            backend.close()
+        self.assertEqual([], [g.name for g in members[1:]
+                              if encodes[id(g)]])
+        self.assertEqual({g.name: 2 for g in added},
+                         {g.name: encodes[id(g)] for g in added})
+
 
 # ---------------------------------------------------- service recovery
 
@@ -607,6 +642,74 @@ class TestRefusedBatchStaysOutOfTheWal(unittest.TestCase):
     def test_unnamed_graphs(self):
         self.assert_refused_then_reboots(
             self.build_with_names([""] * 10), make_repo())
+
+
+class TestFailedBatchRollsBack(unittest.TestCase):
+    """A batch the engine fails on reaches the client as an error and
+    is rolled back: no later batch publishes its changes, and no
+    reboot replays it."""
+
+    def setUp(self):
+        self._tmp = tempfile.TemporaryDirectory()
+        self.addCleanup(self._tmp.cleanup)
+        self.root = self._tmp.name
+
+    def failing_once(self, method):
+        """Patch ``Midas.<method>`` to raise on its next call only."""
+        original = getattr(Midas, method)
+        calls = []
+
+        def faulty(engine, *args, **kwargs):
+            calls.append(method)
+            if len(calls) == 1:
+                raise RuntimeError("injected engine fault")
+            return original(engine, *args, **kwargs)
+
+        return mock.patch.object(Midas, method, faulty)
+
+    def test_memory_backend_drops_the_engine_that_saw_it(self):
+        service = PatternService(make_repo(),
+                                 PipelineConfig(budget=BUDGET, seed=3),
+                                 backend=MemoryBackend())
+        with service.engine_lock:
+            service.ensure_midas()
+        failed = make_batch()
+        with self.failing_once("_rebuild_summaries"):
+            with self.assertRaises(RuntimeError):
+                service.apply_maintenance(failed)
+        self.assertEqual("snap-0",
+                         service.snapshots.current().snapshot_id)
+        later = generate_chemical_repository(16, seed=11)[14:]
+        service.apply_maintenance(UpdateBatch(added=later))
+        names = {g.name for g in service.snapshots.current().repository}
+        self.assertEqual(set(), names & {g.name for g in failed.added})
+        self.assertTrue(set(failed.removed) <= names)
+        service.close()
+
+    def test_reboot_under_a_persistent_fault_serves_the_pre_batch(self):
+        service = disk_service(self.root)
+        expected = pattern_bytes(service)
+        with mock.patch.object(Midas, "apply_batch",
+                               side_effect=RuntimeError("injected")):
+            with self.assertRaises(RuntimeError):
+                service.apply_maintenance(make_batch())
+            service.close()
+            rebooted = disk_service(self.root)
+        self.assertEqual(0, rebooted.recovery.pending_batches)
+        self.assertEqual(expected, pattern_bytes(rebooted))
+        rebooted.close()
+
+    def test_reboot_after_a_one_shot_fault_does_not_replay_it(self):
+        service = disk_service(self.root)
+        expected = pattern_bytes(service)
+        with self.failing_once("apply_batch"):
+            with self.assertRaises(RuntimeError):
+                service.apply_maintenance(make_batch())
+        service.close()
+        rebooted = disk_service(self.root)
+        self.assertEqual(0, rebooted.recovery.pending_batches)
+        self.assertEqual(expected, pattern_bytes(rebooted))
+        rebooted.close()
 
 
 # -------------------------------------------------------- crash matrix

@@ -18,7 +18,12 @@ actually enforces:
   1.  This is the only hardware-dependent gate: it hard-fails where
   ``os.cpu_count() > 1`` and is recorded as skipped (with the
   reason) on single-core runners, where a speedup is physically
-  impossible.
+  impossible;
+* **durable vs memory** — one 5-in/5-out batch stream through a
+  memory-backed and a durable (:class:`repro.store.DiskBackend`)
+  service: both serve identical panels through the first engine
+  epoch, and (full run only, 120 graphs) the durable batch p50 is at
+  most :data:`DURABLE_RATIO_BOUND` times the memory one.
 
 With ``--trace out.json`` each experiment adds one traced run (via
 ``PipelineConfig(trace=True)``), writes every span record into one
@@ -41,7 +46,9 @@ import json
 import os
 import pickle
 import resource
+import statistics
 import sys
+import tempfile
 import time
 from typing import Dict, List, Optional
 
@@ -60,12 +67,18 @@ from repro.datasets import (
 from repro import obs
 from repro.obs import matching_snapshot, stage_breakdown, write_trace
 from repro.patterns import PatternBudget
+from repro.service import DEFAULT_BUDGET, PatternService, strip_volatile, wire
+from repro.service.app import EPOCH_BATCHES
+from repro.store import DiskBackend, MemoryBackend
 from tests.oracles import legacy_pickle_payload
 
 WORKER_COUNTS = (1, 4)
 
 #: Maximum allowed |hit_rate(workers=4) - hit_rate(workers=1)|.
 HIT_RATE_TOLERANCE = 0.01
+
+#: Durable batch p50 over memory batch p50 the full run accepts.
+DURABLE_RATIO_BOUND = 1.5
 
 
 def _cache_delta(before: Dict[str, float],
@@ -300,6 +313,57 @@ def run_deadline(smoke: bool) -> Dict[str, object]:
     }
 
 
+def run_durable_vs_memory(smoke: bool) -> Dict[str, object]:
+    """One batch stream through a memory-backed and a durable service.
+
+    The stream is the service benchmark's ``repo-durable`` shape
+    (5 graphs in, 5 out, additions drifting from batch 12), one
+    engine epoch long.  Each backend starts from a cold match cache
+    and its own copy of the data; ``batch_ms`` times each
+    ``apply_maintenance`` call, WAL and commit included.
+    """
+    size = 30 if smoke else 120
+
+    def stream():
+        repo = generate_chemical_repository(size, seed=1)
+        evolving = EvolvingRepository([g.copy() for g in repo])
+        batches = []
+        for batch in generate_update_stream(
+                evolving, EPOCH_BATCHES, 5, seed=2,
+                removal_fraction=1.0, drift_after=12):
+            evolving.apply(batch)
+            batches.append(batch)
+        return repo, batches
+
+    def drive(backend):
+        obs.reset(clear_cache_entries=True)
+        repo, batches = stream()
+        service = PatternService(
+            repo, PipelineConfig(budget=DEFAULT_BUDGET, seed=0,
+                                 workers=1), backend=backend)
+        panels, times = [], []
+        for batch in batches:
+            _, wall = _timed(lambda: service.apply_maintenance(batch))
+            times.append(1000 * wall)
+            body = service.dispatch("GET", "/v1/patterns").body
+            panels.append(wire.dumps(strip_volatile(body)))
+        service.close()
+        return panels, {"batch_ms": times,
+                        "batch_p50_ms": statistics.median(times)}
+
+    memory_panels, memory = drive(MemoryBackend())
+    with tempfile.TemporaryDirectory() as root:
+        durable_panels, durable = drive(DiskBackend(root))
+    return {
+        "name": "durable_vs_memory",
+        "params": {"repository_size": size, "batches": EPOCH_BATCHES,
+                   "batch_size": 5},
+        "runs": {"memory": memory, "durable": durable},
+        "ratio": durable["batch_p50_ms"] / memory["batch_p50_ms"],
+        "panels_identical": durable_panels == memory_panels,
+    }
+
+
 def _finish(name: str, params: Dict[str, object],
             runs: Dict[str, Dict[str, object]]) -> Dict[str, object]:
     codes = [run["pattern_codes"] for run in runs.values()]
@@ -319,14 +383,16 @@ def _finish(name: str, params: Dict[str, object],
 
 
 def _gates(experiments: Dict[str, Dict[str, object]],
-           multi_core: bool) -> List[Dict[str, object]]:
+           multi_core: bool, smoke: bool) -> List[Dict[str, object]]:
     """Evaluate the CI gates over the finished experiments.
 
     Each gate is ``{"name", "status": passed|failed|skipped,
-    "detail"}``.  Only the speedup gate is hardware-dependent: on a
-    single-core runner a 4-worker speedup is physically impossible,
-    so it is recorded as skipped (with the measured value) instead of
-    asserting a number the machine cannot produce.
+    "detail"}``.  Two gates read wall times: on a single-core runner
+    a 4-worker speedup is physically impossible, so the speedup gate
+    is recorded as skipped (with the measured value) instead of
+    asserting a number the machine cannot produce, and the
+    durable-vs-memory ratio is gated on the full run's 120 graphs
+    only (the smoke run records it as skipped).
     """
     gates = []
     for name in ("catapult_e2", "tattoo_e4", "midas_e6"):
@@ -372,6 +438,25 @@ def _gates(experiments: Dict[str, Dict[str, object]],
                    ["nonempty_under_deadline"] else "failed"),
         "detail": "bounded runs still return patterns",
     })
+    durable = experiments["durable_vs_memory"]
+    gates.append({
+        "name": "durable_vs_memory.panels",
+        "status": "passed" if durable["panels_identical"] else "failed",
+        "detail": f"identical panels after each of "
+                  f"{durable['params']['batches']} batches (one epoch)",
+    })
+    size = durable["params"]["repository_size"]
+    ratio = durable["ratio"]
+    if smoke:
+        status = "skipped"
+        detail = (f"gated on the full run's 120 graphs (measured "
+                  f"x{ratio:.2f} at {size})")
+    else:
+        status = "passed" if ratio <= DURABLE_RATIO_BOUND else "failed"
+        detail = (f"durable batch p50 x{ratio:.2f} memory at {size} "
+                  f"graphs (bound x{DURABLE_RATIO_BOUND})")
+    gates.append({"name": "durable_vs_memory.ratio",
+                  "status": status, "detail": detail})
     return gates
 
 
@@ -404,9 +489,16 @@ def main(argv: List[str] = None) -> int:
               f"hit_rate {cache['hit_rate']:.2f} "
               f"rss {experiment['peak_rss_kb']}kB")
     report["experiments"].append(run_deadline(args.smoke))
+    durable = run_durable_vs_memory(args.smoke)
+    report["experiments"].append(durable)
+    print(f"durable_vs_memory: batch p50 "
+          f"{durable['runs']['durable']['batch_p50_ms']:.1f} ms durable, "
+          f"{durable['runs']['memory']['batch_p50_ms']:.1f} ms memory "
+          f"(x{durable['ratio']:.2f})")
 
     by_name = {exp["name"]: exp for exp in report["experiments"]}
-    gates = _gates(by_name, multi_core=(os.cpu_count() or 1) > 1)
+    gates = _gates(by_name, multi_core=(os.cpu_count() or 1) > 1,
+                   smoke=args.smoke)
     report["gates"] = gates
     failures = [gate["name"] for gate in gates
                 if gate["status"] == "failed"]

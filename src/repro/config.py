@@ -61,7 +61,7 @@ C = TypeVar("C", bound=RunConfig)
 def _field_types(cls: type) -> Dict[str, object]:
     """``cls``'s resolved field types, once per class: resolving them
     costs about ten times a whole :func:`stage_config` call, which
-    MIDAS makes once per durable batch."""
+    MIDAS makes once per engine it builds."""
     return get_type_hints(cls)
 
 

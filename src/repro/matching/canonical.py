@@ -122,40 +122,60 @@ class _CanonicalSearch:
             prefix.pop()
 
 
+def _search(graph: Graph) -> Tuple[str, Tuple[int, ...]]:
+    """``(code, order)``: the minimal encoding and the node order
+    that spells it, from one backtracking search."""
+    search = _CanonicalSearch(graph)
+    search.run()
+    return search.best_code, tuple(search.best_order)
+
+
 def canonical_code(graph: Graph) -> str:
     """Canonical string code; equal iff graphs are isomorphic.
 
-    Memoized as the graph's ``"canonical_code"``
-    :meth:`~repro.graph.graph.Graph.view`, so repeated calls on an
-    unmodified graph skip the backtracking search (each search counts
-    one ``matching.canonical_memo_misses``, each skip one ``_hits``).
+    Memoized, with the order that spells it, as the graph's
+    ``"canonical_code"`` :meth:`~repro.graph.graph.Graph.view`, so
+    repeated calls on an unmodified graph skip the backtracking
+    search (each search counts one
+    ``matching.canonical_memo_misses``, each skip one ``_hits``).
     """
     if graph.order() == 0:
         return "#"
     searched = False
 
-    def search_code(target: Graph) -> str:
+    def search_code(target: Graph) -> Tuple[str, Tuple[int, ...]]:
         nonlocal searched
         searched = True
-        search = _CanonicalSearch(target)
-        search.run()
-        return search.best_code
+        return _search(target)
 
-    code = graph.view("canonical_code", search_code)
+    code, _ = graph.view("canonical_code", search_code)
     metrics.inc("matching.canonical_memo_misses" if searched
                 else "matching.canonical_memo_hits")
     return code
 
 
 def canonical_form(graph: Graph) -> Graph:
-    """A canonically-relabeled copy (nodes 0..n-1 in canonical order).
+    """A canonically-relabeled copy: node ``i`` is the ``i``-th node
+    of the canonical order, nodes are inserted in that order and
+    edges in sorted order.
 
-    Two isomorphic graphs map to copies for which
-    :meth:`repro.graph.Graph.same_as` holds.
+    Two isomorphic graphs map to identical copies, insertion order
+    included, so anything that walks a graph in insertion order (a
+    capped embedding enumeration) reads the same on both.  Only
+    labels are copied, as only labels enter the code.  The order
+    comes from the ``"canonical_code"`` view :func:`canonical_code`
+    fills; reading it here is not counted as a memo hit or miss.
     """
     if graph.order() == 0:
         return graph.copy()
-    search = _CanonicalSearch(graph)
-    search.run()
-    mapping = {u: i for i, u in enumerate(search.best_order)}
-    return graph.relabeled(mapping)
+    _, order = graph.view("canonical_code", _search)
+    position = {u: i for i, u in enumerate(order)}
+    form = Graph(name=graph.name)
+    for u in order:
+        form.add_node(position[u], label=graph.node_label(u))
+    edges = sorted((min(position[u], position[v]),
+                    max(position[u], position[v]), graph.edge_label(u, v))
+                   for u, v in graph.edges())
+    for a, b, label in edges:
+        form.add_edge(a, b, label=label)
+    return form

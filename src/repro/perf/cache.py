@@ -18,11 +18,11 @@ object churn:
 Entries are bounded (LRU eviction) and instrumented: hits, misses,
 evictions, and the number of underlying VF2 invocations are all
 observable through :func:`repro.obs.matching_snapshot`.  A cached
-value is what the wrapped matcher returned for the first pattern
-object that asked.  Subgraph tests, canonical codes and complete
-covered-edge sets do not depend on the pattern's node numbering, so
-any isomorphic pattern would recompute the same value; a covered-edge
-set cut short by ``max_embeddings`` is that first pattern's.
+value is a function of its key: subgraph tests and canonical codes
+do not depend on the pattern's node numbering, and covered-edge sets
+are enumerated on the pattern's :func:`~repro.matching.canonical.
+canonical_form`, so a set cut short by ``max_embeddings`` is the
+same whichever isomorphic pattern asked first.
 
 Merging across workers
 ----------------------
@@ -64,7 +64,7 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from repro.errors import OptionError
 from repro.graph.graph import Graph
-from repro.matching.canonical import canonical_code
+from repro.matching.canonical import canonical_code, canonical_form
 from repro.matching.isomorphism import covered_edges, find_embedding
 from repro.obs import metrics
 from repro.resilience.chaos import site as chaos_site
@@ -313,6 +313,9 @@ def cached_covered_edges(pattern: Graph, target: Graph,
     ``pattern_code`` (the pattern's canonical code) is computed when
     not supplied; callers holding a :class:`repro.patterns.base.
     Pattern` should pass ``pattern.code`` to avoid recomputing it.
+    A miss enumerates on the pattern's canonical form (kept as its
+    ``"canonical_form"`` view), which every isomorphic pattern
+    shares, so the capped answer depends only on the cache key.
     """
     if pattern_code is None:
         pattern_code = cached_canonical_code(pattern)
@@ -322,8 +325,9 @@ def cached_covered_edges(pattern: Graph, target: Graph,
     if found:
         return value  # type: ignore[return-value]
     metrics.inc("matching.vf2_calls")
-    result = frozenset(covered_edges(pattern, target,
-                                     max_embeddings=max_embeddings))
+    result = frozenset(covered_edges(
+        pattern.view("canonical_form", canonical_form), target,
+        max_embeddings=max_embeddings))
     cache.store(key, result)
     return result
 

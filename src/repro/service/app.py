@@ -22,20 +22,29 @@ tests all drive.  The concurrency contract:
   ``PipelineConfig.deadline_s`` and return 200 with
   ``degraded: true`` plus a per-stage report when the anytime
   pipelines stop early.
+* **Maintenance is incremental, durable or not.**  One MIDAS engine
+  applies batch after batch.  On a durable backend it lives for an
+  *epoch* of at most :data:`EPOCH_BATCHES` batches; every commit
+  pins the epoch's base (the WAL sequence and repository the engine
+  was built from), and recovery rebuilds the engine there and
+  replays the WAL history, so live maintenance and replay are one
+  deterministic function of (base, batches).
 """
 
 from __future__ import annotations
 
 import threading
 import time
+import warnings
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.core.pipeline import PipelineConfig, run_selection
 from repro.datasets.evolving import UpdateBatch
 from repro.errors import MaintenanceError
 from repro.graph.graph import Graph
 from repro.midas.maintenance import MaintenanceReport, Midas
+from repro.obs import metrics
 from repro.patterns.base import PatternBudget
 from repro.service.handlers import (
     handle_build,
@@ -68,10 +77,17 @@ from repro.store.backends import (
     MemoryBackend,
     RecoveryReport,
     RepositoryBackend,
+    StoreState,
 )
+from repro.store.format import encode_pattern_blob
 
 #: The budget a service built without one selects under.
 DEFAULT_BUDGET = PatternBudget(8, min_size=4, max_size=8)
+
+#: Batches one MIDAS engine applies on a durable backend before the
+#: next batch builds a new one: the most WAL history a recovery
+#: replays.
+EPOCH_BATCHES = 16
 
 
 @dataclass(frozen=True)
@@ -144,6 +160,10 @@ class PatternService:
         self.engine_lock = threading.Lock()
         self._midas: Optional[Midas] = None
         self._midas_snapshot: Optional[str] = None
+        #: the engine's base, ``(wal_seq, repository)``, and the
+        #: batches it has applied since
+        self._epoch_base: Optional[Tuple[int, List[Graph]]] = None
+        self._epoch_batches = 0
         self._id_lock = threading.Lock()
         self._request_counter = 0
         self._inflight = 0
@@ -197,12 +217,14 @@ class PatternService:
         """Recover from the backend when it has state, else run the
         initial build and persist it.
 
-        Recovery publishes the stored snapshot exactly as committed,
-        then replays the WAL batches past the manifest watermark
-        through the same apply path live maintenance uses — MIDAS
-        quarantine semantics make re-application idempotent, so a
-        batch that was half-committed lands in its post-batch state
-        and one that never reached the WAL stays pre-batch.
+        Recovery publishes the stored snapshot exactly as committed.
+        It then rebuilds the epoch's engine at the pinned base and
+        replays the WAL history up to the watermark into it, which
+        must re-derive the committed pattern set bit for bit.  Last,
+        it replays the WAL batches past the watermark through the
+        same apply path live maintenance uses, so a batch that was
+        half-committed lands in its post-batch state and one that
+        never reached the WAL stays pre-batch.
         """
         recovered = self.backend.load()
         if recovered is None:
@@ -211,10 +233,51 @@ class PatternService:
         self.recovery = recovered.report
         self.snapshots.swap(recovered.data, recovered.patterns,
                             recovered.generator)
-        for seq, batch in recovered.pending:
-            with self.engine_lock:
+        with self.engine_lock:
+            if recovered.history:
+                self._replay_history(recovered)
+            for seq, batch in recovered.pending:
                 self._apply_batch_locked(batch, wal_seq=seq)
-            recovered.report.replayed_batches += 1
+                recovered.report.replayed_batches += 1
+
+    def _replay_history(self, recovered: StoreState) -> None:
+        """Rebuild the epoch's engine at its base and replay the WAL
+        history into it; keep it only if it re-derives the committed
+        pattern set and repository order.  Callers hold
+        ``engine_lock``.
+
+        A replay that raises or disagrees is counted as
+        ``store.recovery.replay_mismatch`` and its engine dropped:
+        the committed snapshot keeps serving and the next batch
+        starts a new epoch there.
+        """
+        current = self.snapshots.current()
+        problem = None
+        try:
+            engine = Midas(list(recovered.base), self.pipeline)
+            for _, batch in recovered.history:
+                engine.apply_batch(batch)
+                recovered.report.history_batches += 1
+        except Exception as exc:
+            problem = f"raised {exc!r}"
+        else:
+            if [graph.name for graph in engine.graphs()] \
+                    != [graph.name for graph in current.repository] \
+                    or encode_pattern_blob(engine.patterns) \
+                    != encode_pattern_blob(current.patterns):
+                problem = "re-derived another pattern set or order"
+        if problem is not None:
+            metrics.inc("store.recovery.replay_mismatch")
+            warnings.warn(
+                f"replaying {len(recovered.history)} WAL batch(es) "
+                f"from the epoch base {problem}; serving the "
+                "committed snapshot and starting a new epoch",
+                stacklevel=3)
+            return
+        self._midas = engine
+        self._midas_snapshot = current.snapshot_id
+        self._epoch_base = (recovered.base_seq, list(recovered.base))
+        self._epoch_batches = len(recovered.history)
 
     def _initial_build(self, data: Union[Graph, Sequence[Graph]]
                        ) -> None:
@@ -231,10 +294,13 @@ class PatternService:
         maintenance's do, so a build can never land between a
         batch's swap and its commit (the store would then recover a
         state the service no longer serves) and no two commits
-        overlap.
+        overlap.  A build ends the epoch: the engine describes
+        graphs the service no longer serves, and the commit pins the
+        built state as the next base.
         """
         with self.engine_lock:
             snapshot = self.snapshots.swap(data, patterns, generator)
+            self._midas = None
             self._commit_snapshot(snapshot)
         return snapshot
 
@@ -267,43 +333,44 @@ class PatternService:
         A batch the engine fails on is rolled back before the error
         propagates: the engine, which may hold part of the batch, is
         dropped, and the unchanged snapshot is committed at the
-        batch's ``wal_seq``, so recovery never replays a batch the
-        client saw fail.
+        batch's ``wal_seq`` as the next epoch's base, so recovery
+        never replays a batch the client saw fail.
         """
+        engine = self.ensure_midas()
         try:
-            engine = self.ensure_midas()
-            try:
-                report = engine.apply_batch(batch)
-            except Exception:
-                self._midas = None
-                self._commit_snapshot(self.snapshots.current(),
-                                      wal_seq=wal_seq)
-                raise
-            snapshot = self.publish_midas()
-            self._commit_snapshot(snapshot, wal_seq=wal_seq)
-        finally:
-            if self.backend.durable:
-                # a durable service recreates the engine from the
-                # repository on every batch, so live maintenance and
-                # crash-recovery replay compute the identical
-                # fresh-engine function of (repository, batch)
-                self._midas = None
-                self._midas_snapshot = None
+            report = engine.apply_batch(batch)
+        except Exception:
+            self._midas = None
+            self._commit_snapshot(self.snapshots.current(),
+                                  wal_seq=wal_seq)
+            raise
+        self._epoch_batches += 1
+        snapshot = self.publish_midas()
+        self._commit_snapshot(snapshot, wal_seq=wal_seq)
         return snapshot, report
 
     def _commit_snapshot(self, snapshot: EngineSnapshot,
                          wal_seq: Optional[int] = None) -> None:
+        """Persist ``snapshot``, pinning the live engine's base (a
+        commit with no live engine is its own base)."""
         self.backend.commit(snapshot.repository, snapshot.network,
                             snapshot.patterns, snapshot.generator,
-                            wal_seq=wal_seq)
+                            wal_seq=wal_seq,
+                            base=self._epoch_base
+                            if self._midas is not None else None)
 
     def ensure_midas(self) -> Midas:
         """The maintenance engine over the *current* repository.
 
         Created lazily on first use and recreated whenever a build
         has republished the repository since (the engine's state
-        describes graphs the service no longer serves).  Callers
-        hold ``engine_lock``.
+        describes graphs the service no longer serves) or, on a
+        durable backend, once it has applied :data:`EPOCH_BATCHES`
+        batches.  A new engine's base is the backend's watermark and
+        the repository it is built from.  The rollover depends only
+        on the batches the engine has applied, so recovery replay
+        reaches the live path's decision.  Callers hold
+        ``engine_lock``.
         """
         current = self.snapshots.current()
         if current.is_network:
@@ -311,10 +378,14 @@ class PatternService:
                 "maintenance needs a repository service; this "
                 "service serves a single network")
         if self._midas is None \
-                or self._midas_snapshot != current.snapshot_id:
-            self._midas = Midas(list(current.repository),
-                                self.pipeline)
+                or self._midas_snapshot != current.snapshot_id \
+                or (self.backend.durable
+                    and self._epoch_batches >= EPOCH_BATCHES):
+            repository = list(current.repository)
+            self._midas = Midas(repository, self.pipeline)
             self._midas_snapshot = current.snapshot_id
+            self._epoch_base = (self.backend.watermark(), repository)
+            self._epoch_batches = 0
         return self._midas
 
     def publish_midas(self) -> EngineSnapshot:

@@ -9,14 +9,15 @@ recoverable (stdlib-only, like every repro subsystem):
   repository-list call sites (``repro-vqi serve --store DIR``);
 * :class:`WriteAheadLog` — fsync-per-record batch log, appended
   *before* ``Midas.apply_batch`` so every crash point recovers to
-  the pre-batch or post-batch pattern set, bitwise;
+  the pre-batch or post-batch pattern set, bitwise, and kept back to
+  the engine epoch's base so recovery can replay the epoch;
 * :class:`SegmentStore` — framed, CRC-checksummed
   ``CompactGraph.encode()`` records, content-addressed, with torn
   tails truncated and damaged sealed regions quarantined;
 * the manifest (:func:`write_manifest` / :func:`load_manifest`) —
   one atomic write-temp→fsync→rename pointer pinning a consistent
-  ``(segments, pattern blob, repository order, WAL watermark)``
-  snapshot.
+  ``(segments, pattern blob, repository order, WAL watermark, epoch
+  base)`` snapshot.
 
 DESIGN.md ("Durability & recovery") specifies the file formats, the
 crash matrix, and the recovery invariants; reprolint R019 enforces

@@ -7,12 +7,13 @@ on either backend:
 
 * :meth:`~RepositoryBackend.load` at boot → ``None`` (cold start,
   run the initial build) or a :class:`StoreState` (recovered
-  repository + pattern set + pending WAL batches to replay);
+  repository + pattern set, the epoch base with the WAL history
+  since it, and the pending WAL batches to replay);
 * :meth:`~RepositoryBackend.log_batch` *before* ``Midas.apply_batch``
   (write-ahead: the batch is durable before any state changes);
 * :meth:`~RepositoryBackend.commit` after every snapshot publish
-  (segments → pattern blob → manifest rename → WAL checkpoint, each
-  step atomic or append-only);
+  (segments → pattern blob → manifest rename → WAL checkpoint at the
+  epoch base when it moved, each step atomic or append-only);
 * :meth:`~RepositoryBackend.close` on shutdown.
 
 :class:`MemoryBackend` no-ops all four — the pre-store behavior.
@@ -26,14 +27,18 @@ on either backend:
 Crash recovery = ``load()``: validate the manifest, scan segments
 against their sealed extents (truncate unsealed tails, quarantine
 damaged sealed regions), verify the pattern blob's SHA-256, truncate
-a torn WAL tail, and hand back every WAL batch past the manifest's
-watermark for idempotent replay.
+a torn WAL tail, and hand back the epoch base (the WAL sequence and
+ordered repository the service's MIDAS engine was built from), the
+WAL history from the base to the manifest's watermark, and every WAL
+batch past the watermark.  Segments are never garbage-collected, so
+a base's graph records stay loadable for as long as it is pinned.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import warnings
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.datasets.evolving import UpdateBatch
@@ -59,12 +64,21 @@ from repro.store.wal import WriteAheadLog
 SITE_PATTERNS = "store.patterns.write"
 
 
+def _manifest_entries(graphs: Sequence[Graph]) -> List[Dict[str, str]]:
+    """The manifest's ordered ``{name, fingerprint, record}`` list."""
+    return [{"name": graph.name,
+             "fingerprint": graph_fingerprint(graph),
+             "record": graph_record_digest(graph)}
+            for graph in graphs]
+
+
 class RecoveryReport:
     """What a :meth:`DiskBackend.load` had to repair or set aside."""
 
     __slots__ = ("quarantined_segments", "repaired_segments",
                  "dropped_graphs", "truncated_wal_bytes",
-                 "pending_batches", "replayed_batches")
+                 "pending_batches", "replayed_batches",
+                 "history_batches")
 
     def __init__(self) -> None:
         self.quarantined_segments: List[str] = []
@@ -72,8 +86,10 @@ class RecoveryReport:
         self.dropped_graphs: List[str] = []
         self.truncated_wal_bytes = 0
         self.pending_batches = 0
-        #: filled in by the service once replay completes
+        #: filled in by the service: pending batches replayed, and
+        #: history batches replayed into the epoch's engine
         self.replayed_batches = 0
+        self.history_batches = 0
 
     @property
     def degraded(self) -> bool:
@@ -89,6 +105,7 @@ class RecoveryReport:
             "truncated_wal_bytes": self.truncated_wal_bytes,
             "pending_batches": self.pending_batches,
             "replayed_batches": self.replayed_batches,
+            "history_batches": self.history_batches,
             "degraded": self.degraded,
         }
 
@@ -98,20 +115,31 @@ class RecoveryReport:
 
 
 class StoreState:
-    """Everything :meth:`DiskBackend.load` recovered."""
+    """Everything :meth:`DiskBackend.load` recovered.
+
+    ``base_seq`` and ``base`` pin the epoch: the WAL sequence number
+    and the ordered repository the service's MIDAS engine was built
+    from.  ``history`` holds the WAL batches in ``(base_seq,
+    watermark]`` that engine applied before the commit, ``pending``
+    the batches logged past the watermark.
+    """
 
     __slots__ = ("repository", "network", "patterns", "generator",
-                 "pending", "report")
+                 "base_seq", "base", "history", "pending", "report")
 
     def __init__(self, repository: List[Graph],
                  network: Optional[Graph], patterns: PatternSet,
-                 generator: str,
+                 generator: str, base_seq: int, base: List[Graph],
+                 history: List[Tuple[int, UpdateBatch]],
                  pending: List[Tuple[int, UpdateBatch]],
                  report: RecoveryReport) -> None:
         self.repository = repository
         self.network = network
         self.patterns = patterns
         self.generator = generator
+        self.base_seq = base_seq
+        self.base = base
+        self.history = history
         self.pending = pending
         self.report = report
 
@@ -125,15 +153,18 @@ class StoreState:
     def __repr__(self) -> str:
         return (f"<StoreState graphs={len(self.repository)} "
                 f"patterns={len(self.patterns)} "
+                f"history={len(self.history)} "
                 f"pending={len(self.pending)}>")
 
 
 class RepositoryBackend:
     """The protocol both backends implement (also usable as a base)."""
 
-    #: durable backends reset the service's MIDAS engine after every
-    #: commit so live maintenance and crash replay compute the same
-    #: fresh-engine function of (repository, batch)
+    #: durable backends recover by epoch replay: the service keeps
+    #: its MIDAS engine for a bounded number of batches, each commit
+    #: pins the base that engine was built from, and recovery
+    #: rebuilds it there and replays the WAL history, so live
+    #: maintenance and replay are one function of (base, batches)
     durable = False
 
     def load(self) -> Optional[StoreState]:
@@ -147,11 +178,18 @@ class RepositoryBackend:
     def commit(self, repository: Sequence[Graph],
                network: Optional[Graph], patterns: PatternSet,
                generator: str,
-               wal_seq: Optional[int] = None) -> None:
-        """Persist one published snapshot."""
+               wal_seq: Optional[int] = None,
+               base: Optional[Tuple[int, Sequence[Graph]]] = None
+               ) -> None:
+        """Persist one published snapshot.
+
+        ``base`` is the epoch's ``(wal_seq, repository)``, the state
+        the service's MIDAS engine was built from; ``None`` pins the
+        committed state itself.
+        """
 
     def watermark(self) -> int:
-        """Highest batch sequence folded into a commit."""
+        """Highest batch sequence folded into the served state."""
         return 0
 
     def close(self) -> None:
@@ -181,6 +219,8 @@ class DiskBackend(RepositoryBackend):
         self.wal = WriteAheadLog(os.path.join(self.root, "wal.log"))
         self.segments = SegmentStore(self.segments_dir)
         self._wal_seq = 0
+        #: the epoch base the WAL was last checkpointed at
+        self._base_seq: Optional[int] = None
 
     def _sweep_temps(self) -> None:
         """Drop ``*.tmp`` leftovers from writes that never renamed."""
@@ -209,18 +249,8 @@ class DiskBackend(RepositoryBackend):
             list(document.get("segments", [])))
         report.quarantined_segments = quarantined
         report.repaired_segments = repaired
-        repository: List[Graph] = []
-        for item in document.get("repository", []):
-            graph = graphs.get(str(item.get("record")))
-            if graph is None:
-                report.dropped_graphs.append(str(item.get("name")))
-                continue
-            if graph_fingerprint(graph) != item.get("fingerprint"):
-                raise StoreCorruptionError(
-                    f"graph {item.get('name')!r} decoded with a "
-                    "different content fingerprint than the "
-                    "manifest pinned", path=self.manifest_path)
-            repository.append(graph)
+        repository, report.dropped_graphs = self._resolve(
+            document.get("repository", []), graphs)
         if document.get("repository") and not repository:
             # partial quarantine degrades; total loss cannot even
             # boot a snapshot — surface it as typed corruption
@@ -244,11 +274,29 @@ class DiskBackend(RepositoryBackend):
                 f"{digest!r})", path=blob_path)
         patterns = decode_pattern_blob(blob, path=blob_path)
         watermark = int(document.get("wal_seq", 0))
-        pending, truncated = self.wal.scan(watermark)
+        # a manifest without an epoch is its own base
+        base_seq, base = watermark, repository
+        epoch = document.get("epoch")
+        if epoch is not None:
+            pinned, lost = self._resolve(epoch.get("repository", []),
+                                         graphs)
+            if not (lost or report.dropped_graphs):
+                base_seq, base = int(epoch.get("wal_seq", 0)), pinned
+            elif int(epoch.get("wal_seq", 0)) < watermark:
+                warnings.warn(
+                    f"{self.manifest_path}: graphs of the epoch were "
+                    "lost to segment quarantine; starting a new epoch "
+                    "at the committed state", stacklevel=2)
+        logged, truncated = self.wal.scan(base_seq)
+        history = [item for item in logged if item[0] <= watermark]
+        pending = [item for item in logged if item[0] > watermark]
         report.truncated_wal_bytes = truncated
         report.pending_batches = len(pending)
-        self._wal_seq = max([watermark]
-                            + [seq for seq, _ in pending])
+        # pending batches replay through the live path, whose commits
+        # advance the sequence; until then the watermark is the
+        # sequence of the state being served
+        self._wal_seq = watermark
+        self._base_seq = base_seq
         network: Optional[Graph] = None
         if document.get("network"):
             if not repository:
@@ -258,7 +306,26 @@ class DiskBackend(RepositoryBackend):
             network = repository[0]
         return StoreState(repository, network, patterns,
                           str(document.get("generator", "catapult")),
-                          pending, report)
+                          base_seq, base, history, pending, report)
+
+    def _resolve(self, items, graphs: Dict[str, Graph]
+                 ) -> Tuple[List[Graph], List[str]]:
+        """A manifest's ``{name, fingerprint, record}`` list as loaded
+        graphs, plus the names whose record was lost."""
+        resolved: List[Graph] = []
+        lost: List[str] = []
+        for item in items:
+            graph = graphs.get(str(item.get("record")))
+            if graph is None:
+                lost.append(str(item.get("name")))
+                continue
+            if graph_fingerprint(graph) != item.get("fingerprint"):
+                raise StoreCorruptionError(
+                    f"graph {item.get('name')!r} decoded with a "
+                    "different content fingerprint than the "
+                    "manifest pinned", path=self.manifest_path)
+            resolved.append(graph)
+        return resolved, lost
 
     # ------------------------------------------------------- writing
 
@@ -273,11 +340,17 @@ class DiskBackend(RepositoryBackend):
     def commit(self, repository: Sequence[Graph],
                network: Optional[Graph], patterns: PatternSet,
                generator: str,
-               wal_seq: Optional[int] = None) -> None:
+               wal_seq: Optional[int] = None,
+               base: Optional[Tuple[int, Sequence[Graph]]] = None
+               ) -> None:
         if wal_seq is None:
             wal_seq = self._wal_seq
         members = list(repository)
-        self.segments.append(members)
+        base_seq, base_members = (int(wal_seq), members) \
+            if base is None else (int(base[0]), list(base[1]))
+        # a base built from a snapshot whose own commit failed may
+        # hold graphs no committed repository did
+        self.segments.append(members + base_members)
         blob = encode_pattern_blob(patterns)
         blob_sha = hashlib.sha256(blob).hexdigest()
         blob_name = f"patterns-{blob_sha[:16]}.bin"
@@ -289,15 +362,17 @@ class DiskBackend(RepositoryBackend):
             "network": network is not None,
             "segments": [dict(entry)
                          for entry in self.segments.entries],
-            "repository": [
-                {"name": graph.name,
-                 "fingerprint": graph_fingerprint(graph),
-                 "record": graph_record_digest(graph)}
-                for graph in members],
+            "repository": _manifest_entries(members),
+            "epoch": {"wal_seq": base_seq,
+                      "repository": _manifest_entries(base_members)},
             "patterns": {"file": blob_name, "sha256": blob_sha,
                          "count": len(patterns)},
         })
-        self.wal.checkpoint(int(wal_seq))
+        # the log keeps the epoch's history for replay, so it is cut
+        # only when the base moves
+        if base_seq != self._base_seq:
+            self.wal.checkpoint(base_seq)
+            self._base_seq = base_seq
         self._wal_seq = max(self._wal_seq, int(wal_seq))
         self._gc_pattern_blobs(keep=blob_name)
 

@@ -12,11 +12,17 @@ runs, so the store's recovery invariant holds at every crash point:
 * a **torn tail** (the crash landed mid-append) → the scanner
   truncates the half-record and the batch never happened.
 
-Replay is idempotent because MIDAS quarantines duplicate additions
-and unknown removals (PR 5): re-applying an already-committed batch
-is a no-op minor update, so "replay everything past the manifest's
-watermark" is safe even when the crash fell between the manifest
-rename and the WAL checkpoint.
+Records also serve as the epoch's *history*: the service keeps one
+MIDAS engine for a bounded number of batches, and each manifest pins
+the base that engine was built from.  Recovery rebuilds the engine at
+the base and replays the records in ``(base, watermark]`` into it
+(checked against the committed pattern set), then replays the records
+past the watermark as live batches.  So the log is checkpointed at
+the epoch base, not at every commit, and holds at most one epoch of
+history plus the batches no commit folded in yet.  Replay is a pure
+function of (base, records): records at or below the base, which
+survive a crash between the manifest rename and the checkpoint, are
+filtered out by sequence number, never re-applied.
 """
 
 from __future__ import annotations
@@ -124,13 +130,13 @@ class WriteAheadLog:
         return pending, truncated
 
     def checkpoint(self, watermark: int) -> None:
-        """Drop every record at or below ``watermark``.
+        """Drop every record at or below ``watermark`` (the epoch
+        base a manifest has just pinned).
 
         Rewritten atomically (temp + fsync + rename + directory
         fsync) so a crash mid-checkpoint leaves the previous log
         intact; surviving stale records are harmless because replay
-        filters on the manifest watermark and re-application is
-        idempotent anyway.
+        filters on the pinned base's sequence number.
         """
         pending, _ = self.scan(watermark, repair=False)
         temp = self.path + ".tmp"

@@ -181,9 +181,9 @@ class PipelineOracles(unittest.TestCase):
     """
 
     #: deterministic work counts per workload and implementation
-    INDEXED_CHECKS = {"catapult": 22187, "tattoo": 14017}
-    LEGACY_CHECKS = {"catapult": 55586, "tattoo": 237187}
-    LAZY_EVALUATIONS = {"catapult": 98, "tattoo": 138}
+    INDEXED_CHECKS = {"catapult": 23279, "tattoo": 12333}
+    LEGACY_CHECKS = {"catapult": 61124, "tattoo": 147802}
+    LAZY_EVALUATIONS = {"catapult": 98, "tattoo": 137}
     NAIVE_EVALUATIONS = {"catapult": 340, "tattoo": 625}
     MIN_REDUCTION = 3
 

@@ -238,8 +238,9 @@ class TestMidas:
         assert "assigned" in midas.membership
 
     def test_rebuilt_engine_reuses_the_process_cache(self, repo, budget):
-        # a durable service builds a fresh engine for every batch; its
-        # matching questions are the ones the previous engine asked
+        # a durable service builds a new engine every epoch and at
+        # recovery; its matching questions are the ones the previous
+        # engine asked
         config = PipelineConfig(budget=budget, seed=1)
         obs.reset(clear_cache_entries=True)
         first = Midas(repo[:12], config)

@@ -313,6 +313,40 @@ class TestCachedMatchers:
         assert cached_canonical_code(g) == canonical_code(g)
         assert cached_canonical_code(g) == canonical_code(g)
 
+    def test_a_capped_answer_is_a_function_of_the_key(self):
+        # a covered-edge set cut short by max_embeddings is enumerated
+        # on the pattern's canonical form, so the answer the cache
+        # keeps does not depend on which isomorphic pattern (numbering
+        # and insertion order) asked first
+        network = generate_network(NetworkConfig(
+            nodes=120, cliques=3, petals=2, flowers=2), seed=4)
+        rng = random.Random(5)
+        nodes = sorted(network.nodes())
+        for _ in range(12):
+            chosen = [rng.choice(nodes)]
+            while len(chosen) < 5:
+                chosen.append(rng.choice(sorted(
+                    {v for u in chosen for v in network.neighbors(u)}
+                    - set(chosen))))
+            answers = set()
+            for seed in range(4):
+                order = list(chosen)
+                random.Random(seed).shuffle(order)
+                ids = random.Random(seed + 10).sample(range(100), 5)
+                renumbered = Graph()
+                for node, new_id in zip(order, ids):
+                    renumbered.add_node(new_id,
+                                        label=network.node_label(node))
+                mapping = dict(zip(order, ids))
+                for u, v in network.edges():
+                    if u in mapping and v in mapping:
+                        renumbered.add_edge(mapping[u], mapping[v],
+                                            label=network.edge_label(u, v))
+                obs.reset(clear_cache_entries=True)
+                answers.add(cached_covered_edges(renumbered, network,
+                                                 max_embeddings=5))
+            assert len(answers) == 1
+
 
 @pytest.fixture(scope="module")
 def small_repo():

@@ -16,7 +16,12 @@ Layered like the store itself:
   ``fsync_fail``, ``crash_after_n_records``, ``short_read``) at
   every durable site (WAL append/read, segment append/read, pattern
   blob write, manifest commit) recovers to the *pre-batch or the
-  post-batch* pattern set, bitwise — never a hybrid, never a crash.
+  post-batch* pattern set, bitwise — never a hybrid, never a crash;
+* **engine epochs** — a durable service keeps its MIDAS engine for
+  ``EPOCH_BATCHES`` batches and serves what a memory-backed one
+  does; the same faults, fired mid-epoch and at the rollover,
+  recover bitwise by replay from the pinned base, and the next batch
+  lands where a run that never crashed does.
 
 The same seed must yield the same outcome at every worker count —
 ``make store-smoke`` runs this file under ``REPRO_WORKERS=1``
@@ -35,10 +40,12 @@ from unittest import mock
 
 from repro.core.pipeline import PipelineConfig
 from repro.datasets import (
+    EvolvingRepository,
     NetworkConfig,
     UpdateBatch,
     generate_chemical_repository,
     generate_network,
+    generate_update_stream,
 )
 from repro.errors import (
     SimulatedCrash,
@@ -49,6 +56,7 @@ from repro.errors import (
 from repro.graph.graph import Graph
 from repro.graph.io import graph_to_dict
 from repro.midas import Midas
+from repro.obs import metrics
 from repro.patterns.base import Pattern, PatternBudget, PatternSet
 from repro.perf.cache import graph_fingerprint
 from repro.resilience import FaultPlan, FaultSpec, chaos
@@ -59,6 +67,7 @@ from repro.service import (
     strip_volatile,
     wire,
 )
+from repro.service.app import EPOCH_BATCHES
 from repro.store import (
     DiskBackend,
     MemoryBackend,
@@ -106,6 +115,25 @@ def disk_service(root):
     return PatternService(make_repo(),
                           PipelineConfig(budget=BUDGET, seed=3),
                           backend=DiskBackend(str(root)))
+
+
+def epoch_stream(count=EPOCH_BATCHES + 3):
+    """A 3-in/3-out batch stream over :func:`make_repo` whose
+    additions drift from batch 6 on: enough batches to cross the
+    first epoch's rollover."""
+    repository = EvolvingRepository(make_repo())
+    batches = []
+    for batch in generate_update_stream(repository, count, 3, seed=5,
+                                        removal_fraction=1.0,
+                                        drift_after=6):
+        repository.apply(batch)
+        batches.append(batch)
+    return batches
+
+
+def replay_mismatches():
+    return metrics.registry().counters.get(
+        "store.recovery.replay_mismatch", 0)
 
 
 def pattern_bytes(service):
@@ -369,6 +397,34 @@ class TestSegments(unittest.TestCase):
             [{"name": "seg-000001.seg", "bytes": 99, "records": 1}])
         self.assertEqual({}, graphs)
         self.assertEqual(["seg-000001.seg"], quarantined)
+
+    def test_insertion_order_gets_its_own_record(self):
+        # same name, same sorted content, different insertion order:
+        # one fingerprint, two records, each decoding in its own
+        # order (epoch replay rebuilds base graphs in the order the
+        # live engine saw them)
+        forward = Graph(name="mol")
+        backward = Graph(name="mol")
+        for graph, nodes in ((forward, (1, 2, 3)), (backward, (3, 2, 1))):
+            for node in nodes:
+                graph.add_node(node, label="C" if node != 2 else "N")
+        forward.add_edge(1, 2, label="1")
+        forward.add_edge(2, 3, label="2")
+        backward.add_edge(2, 3, label="2")
+        backward.add_edge(1, 2, label="1")
+        self.assertEqual(graph_fingerprint(forward),
+                         graph_fingerprint(backward))
+        store = SegmentStore(self.root)
+        self.assertEqual(2, store.append([forward, backward]))
+        sealed = self.seal(store)
+        store.close()
+        loaded, _, _ = SegmentStore(self.root).load(sealed)
+        self.assertEqual(2, len(loaded))
+        self.assertEqual(
+            sorted((list(g.nodes()), list(g.edges()))
+                   for g in (forward, backward)),
+            sorted((list(g.nodes()), list(g.edges()))
+                   for g in loaded.values()))
 
 
 # ------------------------------------------------------------ manifest
@@ -837,14 +893,17 @@ class TestCrashMatrix(unittest.TestCase):
         # the pattern panel (its own checksummed blob) survive
         root, names = self.small_roll_store()
         # the last segment holds a batch-added graph the manifest
-        # still references (the first holds only removed members)
+        # still references (the first holds only removed members);
+        # the epoch's history cannot rebuild a repository that lost
+        # a graph, so the store starts a new epoch, and says so
         plan = FaultPlan(
             [FaultSpec(segments_mod.SITE_READ, "short_read",
                        keys=[names[-1]])], seed=13)
         with chaos(plan):
-            recovered = PatternService(
-                make_repo(), PipelineConfig(budget=BUDGET, seed=3),
-                backend=DiskBackend(root))
+            with self.assertWarnsRegex(UserWarning, "new epoch"):
+                recovered = PatternService(
+                    make_repo(), PipelineConfig(budget=BUDGET, seed=3),
+                    backend=DiskBackend(root))
         report = recovered.recovery
         self.assertTrue(report.degraded)
         self.assertEqual([names[-1]], report.quarantined_segments)
@@ -863,6 +922,175 @@ class TestCrashMatrix(unittest.TestCase):
                     make_repo(),
                     PipelineConfig(budget=BUDGET, seed=3),
                     backend=DiskBackend(root))
+
+
+# -------------------------------------------------------- engine epochs
+
+
+class TestEpochs(unittest.TestCase):
+    """A durable service keeps its engine for an epoch and recovers it
+    by replay from the pinned base."""
+
+    @classmethod
+    def setUpClass(cls):
+        cls.batches = epoch_stream()
+        real_fsync = os.fsync
+        counted = []
+
+        def counting(fd):
+            counted[-1] += 1
+            return real_fsync(fd)
+
+        with tempfile.TemporaryDirectory() as tmp:
+            disk = disk_service(tmp)
+            cls.panels = [pattern_bytes(disk)]
+            with mock.patch.object(os, "fsync", counting):
+                for batch in cls.batches:
+                    counted.append(0)
+                    disk.apply_maintenance(batch)
+                    cls.panels.append(pattern_bytes(disk))
+            cls.fsyncs = counted
+            disk.close()
+        memory = PatternService(make_repo(),
+                                PipelineConfig(budget=BUDGET, seed=3),
+                                backend=MemoryBackend())
+        cls.memory_panels = [pattern_bytes(memory)]
+        for batch in cls.batches[:EPOCH_BATCHES]:
+            memory.apply_maintenance(batch)
+            cls.memory_panels.append(pattern_bytes(memory))
+        memory.close()
+
+    def setUp(self):
+        self._tmp = tempfile.TemporaryDirectory()
+        self.addCleanup(self._tmp.cleanup)
+        self.root = self._tmp.name
+
+    def test_the_stream_changes_the_panel(self):
+        self.assertGreater(len(set(self.panels)), EPOCH_BATCHES // 2)
+
+    def test_disk_serves_the_memory_panels_through_the_epoch(self):
+        for index, expected in enumerate(self.memory_panels):
+            with self.subTest(batches=index):
+                self.assertEqual(expected, self.panels[index])
+
+    def test_a_mid_epoch_batch_makes_two_fewer_fsyncs(self):
+        # every batch adds three new records; only the batch that
+        # starts an epoch cuts the log at its base (file + directory)
+        starts = self.fsyncs[EPOCH_BATCHES]
+        for index, count in enumerate(self.fsyncs):
+            if index != EPOCH_BATCHES:
+                with self.subTest(batch=index + 1):
+                    self.assertEqual(starts - 2, count)
+
+    def apply(self, service, batches):
+        for batch in batches:
+            service.apply_maintenance(batch)
+
+    def test_every_crash_point_recovers_mid_epoch(self):
+        for after in (1, 5, 15, 16, 17):
+            for site, kind, expected in CRASH_MATRIX:
+                with self.subTest(after=after, site=site, kind=kind):
+                    self.crash_cell(after, site, kind, expected)
+
+    def crash_cell(self, after, site, kind, expected):
+        """``after`` committed batches, then (site, kind) fires on the
+        next: recovery lands on the pre- or post-batch panel, and
+        the batch after it on the never-crashed run's panel."""
+        with tempfile.TemporaryDirectory() as root:
+            service = disk_service(root)
+            self.apply(service, self.batches[:after])
+            plan = FaultPlan([FaultSpec(site, kind, at_calls=[1])],
+                             seed=13)
+            with chaos(plan):
+                with self.assertRaises((SimulatedCrash,
+                                        StoreWriteError)):
+                    service.apply_maintenance(self.batches[after])
+            self.assertEqual(1, len(plan.fired))
+            service.close()
+            mismatches = replay_mismatches()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # torn WAL tails
+                recovered = disk_service(root)
+            landed = after + (expected == "post")
+            self.assertEqual(self.panels[landed],
+                             pattern_bytes(recovered))
+            self.assertEqual(mismatches, replay_mismatches())
+            self.apply(recovered, self.batches[landed:landed + 1])
+            self.assertEqual(self.panels[landed + 1],
+                             pattern_bytes(recovered))
+            recovered.close()
+
+    def test_reboot_replays_the_history_and_keeps_the_epoch(self):
+        service = disk_service(self.root)
+        self.apply(service, self.batches[:EPOCH_BATCHES + 2])
+        service.close()
+        document = load_manifest(
+            os.path.join(self.root, "manifest.json"))
+        self.assertEqual(EPOCH_BATCHES, document["epoch"]["wal_seq"])
+        logged, _ = WriteAheadLog(
+            os.path.join(self.root, "wal.log")).scan(0, repair=False)
+        self.assertEqual([EPOCH_BATCHES + 1, EPOCH_BATCHES + 2],
+                         [seq for seq, _ in logged])
+        recovered = disk_service(self.root)
+        self.assertEqual(2, recovered.recovery.history_batches)
+        self.assertEqual(0, recovered.recovery.replayed_batches)
+        self.assertEqual(self.panels[EPOCH_BATCHES + 2],
+                         pattern_bytes(recovered))
+        self.apply(recovered, self.batches[EPOCH_BATCHES + 2:])
+        self.assertEqual(self.panels[-1], pattern_bytes(recovered))
+        recovered.close()
+
+    def test_replay_mismatch_serves_the_committed_blob(self):
+        service = disk_service(self.root)
+        self.apply(service, self.batches[:3])
+        service.close()
+        load = DiskBackend.load
+
+        def short_history(backend):
+            state = load(backend)
+            state.history = state.history[:-1]
+            return state
+
+        for fault in (mock.patch.object(Midas, "apply_batch",
+                                        side_effect=RuntimeError("x")),
+                      mock.patch.object(DiskBackend, "load",
+                                        short_history)):
+            with self.subTest(fault=fault.attribute):
+                mismatches = replay_mismatches()
+                with fault:
+                    with self.assertWarnsRegex(UserWarning,
+                                               "new epoch"):
+                        recovered = disk_service(self.root)
+                self.assertEqual(mismatches + 1, replay_mismatches())
+                self.assertEqual(self.panels[3],
+                                 pattern_bytes(recovered))
+                recovered.close()
+        # the next batch starts a new epoch at the committed state
+        with mock.patch.object(DiskBackend, "load", short_history):
+            with self.assertWarns(UserWarning):
+                recovered = disk_service(self.root)
+        recovered.apply_maintenance(self.batches[3])
+        recovered.close()
+        document = load_manifest(
+            os.path.join(self.root, "manifest.json"))
+        self.assertEqual(3, document["epoch"]["wal_seq"])
+        self.assertEqual(4, document["wal_seq"])
+
+    def test_a_manifest_without_an_epoch_loads(self):
+        service = disk_service(self.root)
+        self.apply(service, self.batches[:2])
+        service.close()
+        path = os.path.join(self.root, "manifest.json")
+        document = load_manifest(path)
+        del document["epoch"]
+        write_manifest(path, document)
+        recovered = disk_service(self.root)
+        self.assertEqual(0, recovered.recovery.history_batches)
+        self.assertEqual(self.panels[2], pattern_bytes(recovered))
+        recovered.apply_maintenance(self.batches[2])
+        recovered.close()
+        document = load_manifest(path)
+        self.assertEqual(2, document["epoch"]["wal_seq"])
 
 
 # ------------------------------------------------- error taxonomy

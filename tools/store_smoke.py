@@ -10,18 +10,22 @@ scenario and each of ``REPRO_WORKERS=1`` and ``=4``:
    disk fault armed (via :mod:`repro.resilience.chaos`) and
    ``REPRO_STORE_CRASH_HARD=1``, so the fault's crash point is a
    genuine ``SIGKILL`` — no atexit hooks, no flushes, no unwinding;
-2. snapshots the served ``/v1/patterns`` panel, posts a maintenance
-   batch, and watches the child die with signal 9 mid-request;
+2. posts the scenario's committed batches, checking the served
+   ``/v1/patterns`` panel after each, then posts one more and watches
+   the child die with signal 9 mid-request;
 3. reboots a clean serve on the same store directory and asserts the
    recovered panel is **bitwise equal** to the scenario's expected
    state — the pre-batch panel when the crash landed before the WAL
    record was durable, the post-batch panel when it landed after —
    and identical across both worker counts;
-4. stops the recovered server with SIGTERM and asserts the graceful
+4. posts the batch that follows the recovered state and asserts the
+   panel equals the one a run that never crashed serves (mid-epoch,
+   the recovered engine is the one replayed from the epoch's base);
+5. stops the recovered server with SIGTERM and asserts the graceful
    shutdown path exits 0.
 
 The expected panels come from an in-process control service driven
-with the same data, seed, and batch.  Any divergence fails the run
+with the same data, seed, and batches.  Any divergence fails the run
 with a nonzero exit code.
 
 Usage::
@@ -50,17 +54,27 @@ sys.path.insert(0, SRC_DIR)
 
 WORKER_COUNTS = ("1", "4")
 
-#: (name, chaos site, fault kind, 1-based site call, expected state).
-#: ``wal-torn`` dies half-way through the WAL append — the batch
-#: never became durable, so recovery must serve the pre-batch panel.
+#: (name, chaos site, fault kind, 1-based site call, batches
+#: committed before the fatal one, expected state).  ``wal-torn``
+#: dies half-way through the WAL append — the batch never became
+#: durable, so recovery must serve the pre-batch panel.
 #: ``commit-crash`` dies after the maintain's manifest rename (call 1
 #: is the initial build's commit) — the batch is fully durable, so
-#: recovery must serve the post-batch panel.
+#: recovery must serve the post-batch panel.  ``mid-epoch`` commits
+#: three batches on one engine and dies after the fourth's manifest
+#: rename, so recovery replays four batches of history from the
+#: epoch's base.
 SCENARIOS = (
-    ("wal-torn", "store.wal.append", "torn_write", 1, "pre"),
+    ("wal-torn", "store.wal.append", "torn_write", 1, 0, "pre"),
     ("commit-crash", "store.manifest.commit",
-     "crash_after_n_records", 2, "post"),
+     "crash_after_n_records", 2, 0, "post"),
+    ("mid-epoch", "store.manifest.commit",
+     "crash_after_n_records", 5, 3, "post"),
 )
+
+#: Batches in the stream: the longest scenario's committed and fatal
+#: batches, plus the one posted after its recovery.
+STREAM_BATCHES = 5
 
 #: Seconds to wait for a child server to answer /v1/health.
 READY_TIMEOUT_S = 120.0
@@ -145,24 +159,41 @@ def canonical_panel(port: int) -> bytes:
     return wire.dumps(strip_volatile(body))
 
 
-def batch_payload() -> dict:
-    from repro.datasets import generate_chemical_repository
-    from repro.graph.io import graph_to_dict
-    extra = generate_chemical_repository(14, seed=11)[10:]
-    return {"add": [graph_to_dict(g) for g in extra],
-            "remove": ["mol0", "mol1"]}
+def batch_stream(data_path: str) -> List[dict]:
+    """The maintenance stream as request bodies: four molecules in
+    and two founding members out, then batches whose additions
+    drift (the fourth and fifth change the panel)."""
+    from repro.datasets import (
+        EvolvingRepository,
+        UpdateBatch,
+        generate_chemical_repository,
+        generate_update_stream,
+    )
+    from repro.graph.io import graph_to_dict, read_lg
+    first = UpdateBatch(
+        added=generate_chemical_repository(14, seed=11)[10:],
+        removed=["mol0", "mol1"])
+    repository = EvolvingRepository(read_lg(data_path))
+    repository.apply(first)
+    batches = [first]
+    for batch in generate_update_stream(
+            repository, STREAM_BATCHES - 1, 4, seed=4,
+            removal_fraction=0.5, drift_after=2):
+        repository.apply(batch)
+        batches.append(batch)
+    return [{"add": [graph_to_dict(g) for g in batch.added],
+             "remove": list(batch.removed)} for batch in batches]
 
 
-def control_panels(data_path: str) -> Dict[str, bytes]:
-    """The two legal recovery states, from an in-process control
-    service constructed exactly like the CLI child's."""
+def control_panels(data_path: str, stream: List[dict]) -> List[bytes]:
+    """The panel after each prefix of ``stream``, from an in-process
+    control service constructed exactly like the CLI child's."""
     from repro.core.pipeline import PipelineConfig
     from repro.datasets import UpdateBatch
     from repro.graph.io import graph_from_dict, read_lg
     from repro.patterns.base import PatternBudget
     from repro.service import PatternService, strip_volatile, wire
 
-    payload = batch_payload()
     service = PatternService(
         read_lg(data_path),
         PipelineConfig(budget=PatternBudget(8, min_size=4,
@@ -173,29 +204,37 @@ def control_panels(data_path: str) -> Dict[str, bytes]:
         assert reply.status == 200
         return wire.dumps(strip_volatile(reply.body))
 
-    pre = panel()
-    service.apply_maintenance(UpdateBatch(
-        added=[graph_from_dict(item) for item in payload["add"]],
-        removed=list(payload["remove"])))
-    post = panel()
+    panels = [panel()]
+    for payload in stream:
+        service.apply_maintenance(UpdateBatch(
+            added=[graph_from_dict(item) for item in payload["add"]],
+            removed=list(payload["remove"])))
+        panels.append(panel())
     service.close()
-    assert pre != post, "the control batch must change the panel"
-    return {"pre": pre, "post": post}
+    for _, _, _, _, committed, _ in SCENARIOS:
+        assert panels[committed] != panels[committed + 1], \
+            "each scenario's fatal batch must change the panel"
+    return panels
 
 
 def run_scenario(name: str, site: str, kind: str, call: int,
-                 expected: str, data: str, store_root: str,
-                 workers: str, controls: Dict[str, bytes],
+                 committed: int, expected: str, data: str,
+                 store_root: str, workers: str, stream: List[dict],
+                 controls: List[bytes],
                  failures: List[str]) -> Optional[bytes]:
     store = os.path.join(store_root, f"{name}-w{workers}")
     proc, port = launch(data, store, workers,
                         fault=(site, kind, call))
     wait_ready(proc, port)
-    if canonical_panel(port) != controls["pre"]:
-        failures.append(f"{name} w{workers}: served panel diverged "
-                        "from the control before the crash")
+    for index in range(committed + 1):
+        if canonical_panel(port) != controls[index]:
+            failures.append(f"{name} w{workers}: served panel "
+                            f"diverged from the control after "
+                            f"{index} batch(es)")
+        if index < committed:
+            http("POST", port, "/v1/patterns/maintain", stream[index])
     try:
-        http("POST", port, "/v1/patterns/maintain", batch_payload())
+        http("POST", port, "/v1/patterns/maintain", stream[committed])
         failures.append(f"{name} w{workers}: maintain survived the "
                         "armed crash point")
     except (OSError, HTTPException, urllib.error.URLError):
@@ -209,9 +248,20 @@ def run_scenario(name: str, site: str, kind: str, call: int,
     survivor, port = launch(data, store, workers)
     wait_ready(survivor, port)
     recovered = canonical_panel(port)
-    if recovered != controls[expected]:
+    landed = committed + (expected == "post")
+    if recovered != controls[landed]:
         failures.append(f"{name} w{workers}: recovered panel is not "
                         f"the {expected}-batch control, bitwise")
+    _, metrics = http("GET", port, "/v1/metrics")
+    if metrics["metrics"]["counters"].get(
+            "store.recovery.replay_mismatch"):
+        failures.append(f"{name} w{workers}: the epoch's history "
+                        "replay did not re-derive the committed panel")
+    http("POST", port, "/v1/patterns/maintain", stream[landed])
+    if canonical_panel(port) != controls[landed + 1]:
+        failures.append(f"{name} w{workers}: the batch after "
+                        "recovery served a panel the never-crashed "
+                        "control did not")
     survivor.send_signal(signal.SIGTERM)
     try:
         survivor.wait(timeout=30)
@@ -233,15 +283,17 @@ def main() -> int:
         from repro.datasets import generate_chemical_repository
         from repro.graph.io import write_lg
         write_lg(generate_chemical_repository(10, seed=7), data)
-        controls = control_panels(data)
-        for name, site, kind, call, expected in SCENARIOS:
+        stream = batch_stream(data)
+        controls = control_panels(data, stream)
+        for name, site, kind, call, committed, expected in SCENARIOS:
             per_worker: Dict[str, Optional[bytes]] = {}
             for workers in WORKER_COUNTS:
                 per_worker[workers] = run_scenario(
-                    name, site, kind, call, expected, data, tmp,
-                    workers, controls, failures)
+                    name, site, kind, call, committed, expected, data,
+                    tmp, workers, stream, controls, failures)
                 print(f"{name} (workers={workers}): killed at "
-                      f"{site}/{kind}, recovered {expected}-batch")
+                      f"{site}/{kind} after {committed} committed "
+                      f"batch(es), recovered {expected}-batch")
             values = set(per_worker.values())
             if len(values) != 1 or None in values:
                 failures.append(f"{name}: recovered panels differ "

@@ -1,8 +1,8 @@
 PYTHON ?= python
 
 .PHONY: lint lint-json lint-project test bench-collect compile check \
-	bench-smoke bench-scale trace-smoke chaos-smoke serve-smoke \
-	store-smoke servicebench-test
+	bench bench-smoke chaos-smoke serve-smoke store-smoke \
+	servicebench-test
 
 lint:
 	PYTHONPATH=tools $(PYTHON) -m reprolint src/repro
@@ -26,14 +26,18 @@ bench-collect:
 compile:
 	$(PYTHON) -m compileall -q src
 
-bench-smoke:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_runner.py --smoke \
+# the full benchmark run (pipeline experiments at workers 1 and 4,
+# then the selection scale ladder: 1k/10k/50k-graph repositories and
+# 10k/100k-node networks); refreshes the committed BENCH_perf.json
+bench:
+	PYTHONPATH=src $(PYTHON) benchmarks/bench_runner.py \
 		--out BENCH_perf.json
 
-# traced smoke run + structural validation of the trace envelope
-trace-smoke:
+# the CI smoke run with tracing on, then structural validation of the
+# trace envelope; writes only git-ignored files
+bench-smoke:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_runner.py --smoke \
-		--out BENCH_perf.json --trace TRACE_smoke.json
+		--out BENCH_ci.json --trace TRACE_smoke.json
 	$(PYTHON) tests/trace_schema.py TRACE_smoke.json
 
 # deterministic fault-injection suite at two worker counts: the same
@@ -52,14 +56,6 @@ chaos-smoke:
 		tests/test_resilience.py
 	REPRO_WORKERS=4 PYTHONPATH=src $(PYTHON) -m pytest -x -q \
 		$(POOL_SMOKE_TESTS)
-
-# selection scale-tier ladder (1k/10k/50k-graph repositories,
-# 10k/100k-node networks): lazy-vs-naive byte identity, >=10x
-# evaluation reduction at the 10k tier, wall/RSS budgets, and
-# workers-1-vs-4 determinism; refreshes BENCH_scale.json in place
-bench-scale:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_scale.py \
-		--out BENCH_scale.json
 
 # scripted ServiceClient run against a live ThreadingHTTPServer at
 # REPRO_WORKERS=1 and =4; every response pair must be byte-identical

@@ -163,9 +163,6 @@ class CompactGraph:
         """Number of edges."""
         return len(self.edge_list) // 3
 
-    def degree_of(self, position: int) -> int:
-        return self.offsets[position + 1] - self.offsets[position]
-
     def index(self) -> Dict[int, int]:
         """``{original node id: position}`` (built once, cached)."""
         if self._index is None:
@@ -240,9 +237,6 @@ class CompactGraph:
         if slot < hi and self.neighbors[slot] == v_pos:
             return slot
         return -1
-
-    def has_edge_positions(self, u_pos: int, v_pos: int) -> bool:
-        return self.edge_slot(u_pos, v_pos) >= 0
 
     def common_neighbors(self, u_pos: int, v_pos: int) -> int:
         """Count of shared neighbors — triangle support of the edge.

@@ -43,10 +43,6 @@ class TopologyClass(str, Enum):
         return self in (TopologyClass.SINGLETON, TopologyClass.CHAIN,
                         TopologyClass.STAR, TopologyClass.TREE)
 
-    def is_triangle_like(self) -> bool:
-        """Classes whose members necessarily contain triangles."""
-        return self in (TopologyClass.TRIANGLE, TopologyClass.CLIQUE)
-
 
 def _is_petal(graph: Graph) -> bool:
     """Petal: two anchor nodes joined by >= 2 internally-disjoint paths

@@ -155,10 +155,6 @@ class CompletionReport:
     def degraded(self) -> bool:
         return any(not status.complete for status in self.stages)
 
-    def incomplete_stages(self) -> List[str]:
-        return [status.stage for status in self.stages
-                if not status.complete]
-
     def as_dict(self) -> Dict[str, Dict[str, object]]:
         """Stage name -> status dict (repeated stages keep the last)."""
         return {status.stage: status.as_dict()

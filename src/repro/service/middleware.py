@@ -33,6 +33,7 @@ verifies handler determinism, not load behaviour.
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Callable, Dict, Mapping, Optional
 
@@ -69,6 +70,8 @@ class Request:
             seconds = float(raw) if raw is not None else None
         except ValueError:
             seconds = None
+        if seconds is not None and math.isnan(seconds):
+            seconds = None  # NaN is unparsable, like "abc"
         if seconds is not None and seconds < 0:
             seconds = 0.0  # a negative budget is already spent
         self.deadline = Deadline.start(seconds)

@@ -17,6 +17,15 @@ from typing import Dict, List, Optional
 
 from repro.errors import OptionError, UnknownNameError
 from repro.graph.io import graph_to_dict
+from repro.query.actions import (
+    AddEdge,
+    AddNode,
+    DeleteEdge,
+    DeleteNode,
+    MergeNodes,
+    SetEdgeLabel,
+    SetNodeLabel,
+)
 from repro.query.builder import QueryBuilder
 from repro.service.snapshot import EngineSnapshot
 
@@ -31,6 +40,19 @@ def _int_field(action: Dict[str, object], op: object, field: str) -> int:
         raise OptionError(
             f"action {op!r} needs an integer {field!r}, got {value!r}"
         ) from None
+
+
+#: wire op -> its action class and argument fields, in constructor
+#: order; ``label`` is a string (default empty), the rest integers
+_WIRE_ACTIONS = {
+    "add_node": (AddNode, ("label",)),
+    "add_edge": (AddEdge, ("u", "v", "label")),
+    "set_node_label": (SetNodeLabel, ("node", "label")),
+    "set_edge_label": (SetEdgeLabel, ("u", "v", "label")),
+    "merge_nodes": (MergeNodes, ("keep", "remove")),
+    "delete_node": (DeleteNode, ("node",)),
+    "delete_edge": (DeleteEdge, ("u", "v")),
+}
 
 
 class Session:
@@ -48,21 +70,16 @@ class Session:
     def apply_action(self, action: Dict[str, object]) -> object:
         """Apply one wire action; returns the action-specific result.
 
-        The ``op`` field selects the action; arguments mirror the
-        :class:`QueryBuilder` convenience methods.  ``add_pattern``
-        takes ``index`` into the session snapshot's canned panel —
-        the wire never ships pattern graphs it already published.
+        The ``op`` field selects the :mod:`repro.query.actions` class
+        and the remaining fields are its arguments; every action goes
+        through :meth:`QueryBuilder.apply`, so the history counts it.
+        ``add_pattern`` takes ``index`` into the session snapshot's
+        canned panel — the wire never ships pattern graphs it already
+        published.
         """
         if not isinstance(action, dict):
             raise OptionError("each action must be a JSON object")
         op = action.get("op")
-        if op == "add_node":
-            return self.builder.add_node(str(action.get("label", "")))
-        if op == "add_edge":
-            self.builder.add_edge(_int_field(action, op, "u"),
-                                  _int_field(action, op, "v"),
-                                  str(action.get("label", "")))
-            return None
         if op == "add_pattern":
             pattern = self.snapshot.pattern_at(
                 _int_field(action, op, "index"))
@@ -71,28 +88,12 @@ class Session:
             # key on ints, so ship the same pair-list shape
             # embeddings use
             return [[u, v] for u, v in sorted(mapping.items())]
-        if op == "set_node_label":
-            self.builder.query.set_node_label(
-                _int_field(action, op, "node"),
-                str(action.get("label", "")))
-            return None
-        if op == "set_edge_label":
-            self.builder.query.set_edge_label(
-                _int_field(action, op, "u"), _int_field(action, op, "v"),
-                str(action.get("label", "")))
-            return None
-        if op == "merge_nodes":
-            self.builder.merge_nodes(_int_field(action, op, "keep"),
-                                     _int_field(action, op, "remove"))
-            return None
-        if op == "delete_node":
-            self.builder.query.remove_node(_int_field(action, op, "node"))
-            return None
-        if op == "delete_edge":
-            self.builder.query.remove_edge(_int_field(action, op, "u"),
-                                           _int_field(action, op, "v"))
-            return None
-        raise OptionError(f"unknown action op {op!r}")
+        if not isinstance(op, str) or op not in _WIRE_ACTIONS:
+            raise OptionError(f"unknown action op {op!r}")
+        cls, fields = _WIRE_ACTIONS[op]
+        return self.builder.apply(cls(*(
+            str(action.get(field, "")) if field == "label"
+            else _int_field(action, op, field) for field in fields)))
 
     def state(self) -> Dict[str, object]:
         """The session's wire-visible state."""

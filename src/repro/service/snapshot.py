@@ -81,13 +81,6 @@ class EngineSnapshot:
                    for graph, version
                    in zip(self.repository, self.versions))
 
-    def require_pinned(self) -> None:
-        if not self.verify_pinned():
-            raise MaintenanceError(
-                f"snapshot {self.snapshot_id} observed an in-place "
-                "graph mutation; data graphs are immutable once "
-                "published to a snapshot")
-
     def __repr__(self) -> str:
         kind = "network" if self.is_network else \
             f"repository[{len(self.repository)}]"

@@ -152,7 +152,9 @@ def extract_candidates(network: Graph, budget: PatternBudget,
                        deadline: Optional[Deadline] = None,
                        report: Optional[CompletionReport] = None
                        ) -> Dict[TopologyClass, List[Pattern]]:
-    """Steps 1+2: truss split and per-class candidate extraction.
+    """Steps 1+2: truss split and per-class candidate extraction,
+    traced as the pipeline's ``tattoo.decompose`` and
+    ``tattoo.extract`` stages.
 
     Classes are independent work items: each extracts from its region
     with its own split seed under :func:`repro.perf.pmap`, and the
@@ -165,11 +167,21 @@ def extract_candidates(network: Graph, budget: PatternBudget,
     are dispatched in worker-sized waves (first wave always runs), so
     a tight budget degrades to fewer topology classes, never zero.
     """
+    with span("tattoo.decompose", threshold=config.truss_threshold):
+        g_t, g_o = split_by_truss(network,
+                                  threshold=config.truss_threshold)
+    return _extract_regions(g_t, g_o, budget, config, deadline, report)
+
+
+def _extract_regions(g_t: Graph, g_o: Graph, budget: PatternBudget,
+                     config: TattooConfig,
+                     deadline: Optional[Deadline],
+                     report: Optional[CompletionReport]
+                     ) -> Dict[TopologyClass, List[Pattern]]:
+    """Step 2 of :func:`extract_candidates` on an existing split."""
     deadline = deadline or Deadline(None)
     report = report if report is not None else CompletionReport()
     with span("tattoo.extract", classes=len(config.classes)) as stage:
-        g_t, g_o = split_by_truss(network,
-                                  threshold=config.truss_threshold)
         by_class: Dict[TopologyClass, List[Pattern]] = {}
         tasks = []
         task_classes: List[TopologyClass] = []
@@ -239,8 +251,8 @@ def _run_tattoo(network: Graph, budget: PatternBudget,
         timings["decompose"] = time.perf_counter() - start
 
         start = time.perf_counter()
-        by_class = extract_candidates(network, budget, config,
-                                      deadline, report)
+        by_class = _extract_regions(g_t, g_o, budget, config,
+                                    deadline, report)
         timings["extract"] = time.perf_counter() - start
 
         start = time.perf_counter()

@@ -333,6 +333,48 @@ class TestSessions:
         assert repr(field) in error["message"]
         assert unhandled_errors(service) == before
 
+    #: Each wire op on the query 0-1-2 (edges 0-1 and 1-2), with a
+    #: variant of it the session rejects (a missing node, edge or
+    #: panel index; an unknown op for add_node, which cannot miss).
+    @pytest.mark.parametrize("action, rejected", [
+        ({"op": "add_node", "label": "C"}, {"op": "add_nodes"}),
+        ({"op": "add_edge", "u": 0, "v": 2},
+         {"op": "add_edge", "u": 0, "v": 9}),
+        ({"op": "add_pattern", "index": 0},
+         {"op": "add_pattern", "index": 99}),
+        ({"op": "set_node_label", "node": 0, "label": "N"},
+         {"op": "set_node_label", "node": 9, "label": "N"}),
+        ({"op": "set_edge_label", "u": 0, "v": 1, "label": "d"},
+         {"op": "set_edge_label", "u": 0, "v": 2, "label": "d"}),
+        ({"op": "merge_nodes", "keep": 0, "remove": 2},
+         {"op": "merge_nodes", "keep": 0, "remove": 9}),
+        ({"op": "delete_node", "node": 2}, {"op": "delete_node", "node": 9}),
+        ({"op": "delete_edge", "u": 1, "v": 2},
+         {"op": "delete_edge", "u": 0, "v": 2}),
+    ], ids=lambda action: action["op"])
+    def test_every_op_is_one_recorded_step(self, service, action,
+                                           rejected):
+        sid = service.dispatch("POST", "/v1/sessions").body["session"]
+        path = f"/v1/sessions/{sid}/actions"
+        before = service.dispatch("POST", path, {"actions": [
+            {"op": "add_node", "label": "C"},
+            {"op": "add_node", "label": "C"},
+            {"op": "add_node", "label": "O"},
+            {"op": "add_edge", "u": 0, "v": 1},
+            {"op": "add_edge", "u": 1, "v": 2}]}).body
+        after = service.dispatch("POST", path, {"actions": [action]})
+        assert after.status == 200
+        kind = action["op"]
+        assert after.body["steps"] == before["steps"] + 1
+        assert after.body["actions"][kind] == \
+            before["actions"].get(kind, 0) + 1
+
+        refused = service.dispatch("POST", path, {"actions": [rejected]})
+        assert refused.status in (400, 404)
+        state = service.dispatch("GET", f"/v1/sessions/{sid}").body
+        assert state["steps"] == after.body["steps"]
+        assert state["actions"] == after.body["actions"]
+
     def test_session_query_and_suggest(self, service):
         sid = service.dispatch("POST", "/v1/sessions").body["session"]
         service.dispatch(
@@ -543,6 +585,24 @@ class TestPolicy:
             completion = error["completion"]
             assert completion["build"]["complete"] is False
             assert completion["build"]["done"] == 0
+
+    def test_nan_deadline_is_ignored_like_an_unparsable_one(self):
+        # NaN compares false with everything, so it used to pass
+        # admission and then bound the pipeline at 0 s
+        panels = []
+        for headers in ({}, {"X-Repro-Deadline": "nan"}):
+            svc = make_service()
+            try:
+                built = svc.dispatch("POST", "/v1/build",
+                                     {"config": {"seed": 3}},
+                                     headers=headers)
+                assert built.status == 200
+                assert built.body["degraded"] is False
+                panels.append(canonical_bytes(
+                    svc.dispatch("GET", "/v1/patterns").body))
+            finally:
+                svc.close()
+        assert panels[0] == panels[1]
 
     def test_full_build_slots_shed_with_503(self, service):
         assert service.heavy_slots.acquire(blocking=False)

@@ -21,7 +21,7 @@ from repro.tattoo import (
     extract_stars,
     extract_trees,
 )
-from repro.truss import split_by_truss
+from repro.truss import decomposition, split_by_truss
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +122,19 @@ class TestPipeline:
     def test_empty_network_rejected(self, budget):
         with pytest.raises(PipelineError):
             run_tattoo(Graph(), PipelineConfig(budget=budget))
+
+    def test_network_is_split_by_truss_once(self, network, budget,
+                                            monkeypatch):
+        # the decompose stage's (G_T, G_O) feeds extraction; a second
+        # split of the same network would only repeat the peel
+        peeled = []
+        peel = decomposition.truss_decomposition
+        monkeypatch.setattr(decomposition, "truss_decomposition",
+                            lambda graph: peeled.append(graph)
+                            or peel(graph))
+        run_tattoo(network, PipelineConfig(budget=budget, seed=4,
+                                           workers=1))
+        assert peeled == [network]
 
     def test_deterministic(self, network, budget):
         config = PipelineConfig(budget=budget, seed=9)

@@ -1,6 +1,6 @@
 """Structural validator for ``repro/v1`` wire JSON (stdlib only).
 
-Used by ``make trace-smoke`` (and importable from tests) to check
+Used by ``make bench-smoke`` (and importable from tests) to check
 that a trace file written by ``benchmarks/bench_runner.py --trace``
 or ``repro-vqi build --trace`` matches the documented shape::
 

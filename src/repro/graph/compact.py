@@ -31,18 +31,43 @@ with ``neighbors``.  ``ins_neighbors`` carries the same runs in
 per-node edge-insertion order (what ``Graph.neighbors()`` yields) for
 consumers whose enumeration order must match the dict path exactly.
 ``node_ids`` maps positions back to the original ids at the boundary.
+
+A view also memoizes derived tables for the kernels that scan it:
+the label-position groups, the per-position neighbor-label counts and
+the matching kernel's candidate pools
+(:meth:`CompactGraph.candidate_pool`), whose memos share one
+process-wide bound.  They are built lazily, die with the view when
+the graph mutates, and are never pickled.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+import weakref
 from array import array
 from bisect import bisect_left
-from typing import Any, Dict, FrozenSet, List, Optional, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Hashable, List, \
+    Optional, Tuple
 
 from repro.graph.graph import Graph, edge_key
 
 #: Bump when the :meth:`CompactGraph.encode` wire layout changes.
 ENCODING_VERSION = 1
+
+#: The most the candidate-pool memos of all compact views in the
+#: process hold together, counting each pool as one plus its
+#: positions (:meth:`CompactGraph.candidate_pool`); queries are
+#: unbounded, so the memos are bounded.  Working sets: TATTOO set-up,
+#: 400 sampled queries and 50 answerable suggests on the default
+#: 2,000-node network hold 330 pools, 20,170 in all; a 60-graph
+#: repository's build, 10 maintenance batches, 400 queries and 50
+#: suggests hold 6,317 pools (83% empty) over 166 views, 9,062 in
+#: all.  At 73-94 bytes per unit the memos stay near 6 MB at most.
+POOL_MEMO_LIMIT = 65_536
+
+#: A candidate pool: its positions in order, and as a set.
+Pool = Tuple[Tuple[int, ...], FrozenSet[int]]
 
 #: array typecodes: positions/label ids/offsets are 32-bit, original
 #: node ids 64-bit (callers may use arbitrary int ids).
@@ -92,7 +117,8 @@ class CompactGraph:
                  "edge_labels", "edge_list", "offsets", "neighbors",
                  "edge_label_ids", "ins_neighbors", "node_attrs",
                  "edge_attrs", "_index", "_label_lookup",
-                 "_edge_label_lookup", "_label_positions", "_nlc")
+                 "_edge_label_lookup", "_label_positions", "_nlc",
+                 "_pools", "__weakref__")
 
     def __init__(self, name: str, node_ids: array, node_label_ids: array,
                  node_labels: Tuple[str, ...],
@@ -118,6 +144,7 @@ class CompactGraph:
         self._edge_label_lookup: Optional[Dict[str, int]] = None
         self._label_positions: Optional[Tuple[Tuple[int, ...], ...]] = None
         self._nlc: Optional[List[Dict[int, int]]] = None
+        self._pools: Optional[Dict[Hashable, Pool]] = None
 
     # ------------------------------------------------------------------
     # construction
@@ -220,6 +247,28 @@ class CompactGraph:
                 signatures.append(counts)
             self._nlc = signatures
         return self._nlc
+
+    def candidate_pool(self, key: Hashable,
+                       build: Callable[["CompactGraph", Any], Pool]
+                       ) -> Pool:
+        """``build(self, key)``, memoized per requirement ``key``.
+
+        The matching kernel keys a pattern node's candidate pool by
+        what the node requires and passes its pool rule as ``build``,
+        so matchers whose pattern nodes ask the same share one pool.
+        Every view's memo draws on one process-wide budget
+        (:data:`POOL_MEMO_LIMIT`): a store that would overrun it first
+        clears every memo, and a pool larger than the whole budget is
+        not kept.  The memo dies with the view and is never pickled.
+        Like ``Graph.view``, two threads that miss together both
+        build, so ``build`` must be a pure function of the view and
+        the key; the first store wins and both get its pool.
+        """
+        memo = self._pools
+        pool = None if memo is None else memo.get(key)
+        if pool is None:
+            pool = _pool_budget.store(self, key, build(self, key))
+        return pool
 
     # ------------------------------------------------------------------
     # adjacency
@@ -334,6 +383,56 @@ class CompactGraph:
         tag = f" {self.name!r}" if self.name else ""
         return (f"<CompactGraph{tag} n={self.order()} m={self.size()} "
                 f"labels={len(self.node_labels)}>")
+
+
+class _PoolBudget:
+    """The process-wide bound on memoized candidate pools: the views
+    whose memos hold pools, and how much they have stored since the
+    last clear (a dead view's pools count until then, so the live
+    total is never more)."""
+
+    __slots__ = ("lock", "held", "views")
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.held = 0
+        self.views: "weakref.WeakSet[CompactGraph]" = weakref.WeakSet()
+
+    def store(self, view: CompactGraph, key: Hashable, pool: Pool) -> Pool:
+        """Keep ``pool`` in ``view``'s memo; returns the memo's pool."""
+        cost = 1 + len(pool[0])
+        if cost > POOL_MEMO_LIMIT:
+            return pool
+        with self.lock:
+            memo = view._pools
+            if memo is not None and key in memo:
+                return memo[key]
+            if self.held + cost > POOL_MEMO_LIMIT:
+                # replaced, not cleared: a reader that already holds
+                # an old memo keeps reading a consistent one
+                for other in list(self.views):
+                    other._pools = None
+                self.views.clear()
+                self.held = 0
+                memo = None
+            if memo is None:
+                memo = view._pools = {}
+                self.views.add(view)
+            memo[key] = pool
+            self.held += cost
+            return pool
+
+
+_pool_budget = _PoolBudget()
+
+
+def _fresh_lock_in_child() -> None:
+    # fork copies the lock in whatever state another thread left it;
+    # held, the child's only thread would wait on it forever
+    _pool_budget.lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_fresh_lock_in_child)
 
 
 def _build_csr(n: int, edge_list: array

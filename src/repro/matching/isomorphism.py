@@ -15,14 +15,21 @@ Two matching semantics are provided:
   non-adjacent target nodes.
 
 The kernel runs over the target's compact CSR view
-(:meth:`repro.graph.graph.Graph.compact`): candidate pools are
-precomputed per pattern node — filtered through the interned label
-table, degree, and a neighbor-label-id-multiset signature — and
-partial mappings extend by intersecting the pool with the *smallest*
-already-matched neighbor image's neighbor slice.  Adjacency and
-edge-label tests are binary searches over the sorted slice; the
-kernel works in compact positions throughout and converts back to
-node ids only when an embedding is yielded.
+(:meth:`repro.graph.graph.Graph.compact`): each pattern node has a
+candidate pool — filtered through the interned label table, degree,
+and a neighbor-label-id-multiset signature — and partial mappings
+extend by intersecting the pool with the *smallest* already-matched
+neighbor image's neighbor slice.  Adjacency and edge-label tests are
+binary searches over the sorted slice; the kernel works in compact
+positions throughout and converts back to node ids only when an
+embedding is yielded.
+
+Set-up is paid once per pattern and once per target: the pattern's
+:class:`MatchPlan` is its ``"match_plan"`` view, and the target's
+compact view memoizes each pool by what a pattern node requires
+(:meth:`repro.graph.compact.CompactGraph.candidate_pool`, with the
+rule :func:`_candidate_pool` kept here), so building a
+:class:`SubgraphMatcher` is a few dictionary lookups.
 
 Embeddings are enumerated in a fixed *order*: anchored pools walk the
 first matched image's neighbors in edge-insertion order (the CSR's
@@ -38,8 +45,10 @@ instrumented: ``feasibility_checks``, ``recursive_calls``, and
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, \
+    Set, Tuple
 
+from repro.graph.compact import CompactGraph, Pool
 from repro.graph.graph import Graph
 from repro.obs import metrics
 from repro.resilience.chaos import site as chaos_site
@@ -81,6 +90,99 @@ def _matching_order(pattern: Graph) -> List[int]:
     return order
 
 
+#: What a pattern node asks of its images: its label, its degree and
+#: its sorted non-wildcard ``(neighbor label, count)`` pairs.  Nodes
+#: with one key have one candidate pool in any target.
+PoolKey = Tuple[str, int, Tuple[Tuple[str, int], ...]]
+
+
+class MatchPlan(NamedTuple):
+    """A pattern's matching plan, independent of any target.
+
+    Built once per pattern version as the pattern's ``"match_plan"``
+    view and shared read-only by every matcher over that pattern.
+    """
+
+    #: :func:`_matching_order`
+    order: Tuple[int, ...]
+    #: per depth, the pattern neighbors placed before ``order[depth]``
+    placed_before: Tuple[Tuple[int, ...], ...]
+    #: ``(pattern node, pool key)`` in node insertion order
+    requirements: Tuple[Tuple[int, PoolKey], ...]
+    #: ``(a, b, edge label)`` per pattern edge
+    edge_labels: Tuple[Tuple[int, int, str], ...]
+
+
+def _match_plan(pattern: Graph) -> MatchPlan:
+    order = _matching_order(pattern)
+    placed_before = []
+    placed: Set[int] = set()
+    for u in order:
+        placed_before.append(
+            tuple(w for w in pattern.neighbors(u) if w in placed))
+        placed.add(u)
+    nlc = pattern.neighbor_label_counts()
+    requirements = tuple(
+        (u, (pattern.node_label(u), pattern.degree(u),
+             tuple(sorted((label, count)
+                          for label, count in nlc[u].items()
+                          if label != WILDCARD))))
+        for u in pattern.nodes())
+    edge_labels = tuple((a, b, pattern.edge_label(a, b))
+                        for a, b in pattern.edges())
+    return MatchPlan(tuple(order), tuple(placed_before), requirements,
+                     edge_labels)
+
+
+#: The one value of every empty pool: most requirements a small
+#: repository graph is asked about have no candidate in it, and a
+#: memo entry then costs no sets of its own.
+_NO_CANDIDATES: Pool = ((), frozenset())
+
+
+def _candidate_pool(c: CompactGraph, key: PoolKey) -> Pool:
+    """The positions of ``c`` that can image a node with ``key``.
+
+    The base set comes straight off the target's interned label table
+    (``label_positions``; every position for a wildcard); degrees are
+    CSR slice widths.  The signature filter requires, for every
+    non-wildcard label that appears ``count`` times in the pattern
+    node's neighborhood, at least ``count`` neighbors with that label
+    id around the target position.  This is a necessary condition
+    under both monomorphism and induced semantics (pattern neighbors
+    always map to target neighbors), so filtering by it never loses
+    embeddings.  A pattern node or neighbor label absent from the
+    target's label table prunes to the empty pool immediately.
+    Returns the pool in position order and as a set.
+    """
+    label, degree, signature = key
+    if label == WILDCARD:
+        base = range(c.order())
+    else:
+        lid = c.label_id(label)
+        base = () if lid is None else c.label_positions(lid)
+    # absent labels intern to -1: no position carries them, so
+    # counts.get(-1, 0) < need rejects as it must
+    required: Dict[int, int] = {}
+    for neighbor_label, count in signature:
+        req_lid = c.label_id(neighbor_label)
+        required[-1 if req_lid is None else req_lid] = count
+    offsets = c.offsets
+    target_nlc = c.neighbor_label_id_counts()
+    pool = []
+    for p in base:
+        if offsets[p + 1] - offsets[p] < degree:
+            continue
+        counts = target_nlc[p]
+        if any(counts.get(lid, 0) < need
+               for lid, need in required.items()):
+            continue
+        pool.append(p)
+    if not pool:
+        return _NO_CANDIDATES
+    return tuple(pool), frozenset(pool)
+
+
 class SubgraphMatcher:
     """Reusable matcher for one (pattern, target) pair.
 
@@ -106,14 +208,10 @@ class SubgraphMatcher:
         self.feasibility_checks = 0
         self.recursive_calls = 0
         self.candidates_pruned = 0
-        self._order = _matching_order(pattern)
+        plan = pattern.view("match_plan", _match_plan)
+        self._order = plan.order
         # pattern neighbors already matched when a node is placed
-        self._placed_before: List[List[int]] = []
-        placed: Set[int] = set()
-        for u in self._order:
-            self._placed_before.append(
-                [w for w in self.pattern.neighbors(u) if w in placed])
-            placed.add(u)
+        self._placed_before = plan.placed_before
         c = target.compact()
         self._c = c
         self._node_ids = c.node_ids
@@ -123,59 +221,20 @@ class SubgraphMatcher:
         self._ins_neighbors = c.ins_neighbors
         self._pools: Dict[int, Tuple[int, ...]] = {}
         self._pool_sets: Dict[int, FrozenSet[int]] = {}
-        self._build_pools()
-        self._build_edge_requirements()
+        self._build_pools(plan)
+        self._build_edge_requirements(plan)
 
-    def _build_pools(self) -> None:
-        """Candidate pool per pattern node: label + degree + signature.
-
-        Pools hold compact *positions*.  The base set per pattern node
-        comes straight off the target's interned label table
-        (``label_positions``); degrees are CSR slice widths.  The
-        signature filter requires, for every non-wildcard label that
-        appears ``c`` times in the pattern node's neighborhood, at
-        least ``c`` neighbors with that label id around the target
-        position.  This is a necessary condition under both
-        monomorphism and induced semantics (pattern neighbors always
-        map to target neighbors), so filtering by it never loses
-        embeddings.  A pattern node or neighbor label absent from the
-        target's label table prunes to the empty pool immediately.
-        """
-        pattern, c = self.pattern, self._c
+    def _build_pools(self, plan: MatchPlan) -> None:
+        """One lookup per pattern node in the target's pool memo."""
+        c = self._c
         n_target = c.order()
-        offsets = c.offsets
-        target_nlc = c.neighbor_label_id_counts()
-        pattern_nlc = pattern.neighbor_label_counts()
-        for u in pattern.nodes():
-            label = pattern.node_label(u)
-            if label == WILDCARD:
-                base = range(n_target)
-            else:
-                lid = c.label_id(label)
-                base = () if lid is None else c.label_positions(lid)
-            degree_u = pattern.degree(u)
-            # absent labels intern to -1: no position carries them,
-            # so counts.get(-1, 0) < need rejects as it must
-            required: Dict[int, int] = {}
-            for lbl, count in pattern_nlc[u].items():
-                if lbl == WILDCARD:
-                    continue
-                req_lid = c.label_id(lbl)
-                required[-1 if req_lid is None else req_lid] = count
-            pool = []
-            for p in base:
-                if offsets[p + 1] - offsets[p] < degree_u:
-                    continue
-                counts = target_nlc[p]
-                if any(counts.get(lid, 0) < need
-                       for lid, need in required.items()):
-                    continue
-                pool.append(p)
-            self._pools[u] = tuple(pool)
-            self._pool_sets[u] = frozenset(pool)
+        for u, key in plan.requirements:
+            pool, members = c.candidate_pool(key, _candidate_pool)
+            self._pools[u] = pool
+            self._pool_sets[u] = members
             self.candidates_pruned += n_target - len(pool)
 
-    def _build_edge_requirements(self) -> None:
+    def _build_edge_requirements(self, plan: MatchPlan) -> None:
         """Intern every pattern edge label against the target table.
 
         ``_edge_req[(u, w)]`` is the target edge-label id a mapped
@@ -187,8 +246,7 @@ class SubgraphMatcher:
         """
         c = self._c
         self._edge_req: Dict[Tuple[int, int], int] = {}
-        for (a, b) in self.pattern.edges():
-            label = self.pattern.edge_label(a, b)
+        for a, b, label in plan.edge_labels:
             if label == WILDCARD:
                 req = -1
             else:
@@ -198,7 +256,7 @@ class SubgraphMatcher:
             self._edge_req[(b, a)] = req
 
     def _feasible(self, u: int, t: int, mapping: Dict[int, int],
-                  used: Set[int], matched_nbrs: List[int]) -> bool:
+                  used: Set[int], matched_nbrs: Tuple[int, ...]) -> bool:
         """Feasibility for pool members: labels/degree already hold.
 
         ``t`` and every mapped image are compact positions; adjacency
@@ -287,7 +345,7 @@ class SubgraphMatcher:
             used.discard(t)
 
     def _pool(self, u: int, mapping: Dict[int, int],
-              matched_nbrs: List[int]) -> List[int]:
+              matched_nbrs: Tuple[int, ...]) -> List[int]:
         """Candidates for ``u``: pool ∩ matched-image slices, in the
         first matched image's insertion order.
 

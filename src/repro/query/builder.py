@@ -7,7 +7,7 @@ graph, and keeps the action history the usability metrics count.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from repro.errors import GraphError
 from repro.graph.graph import Graph
@@ -58,6 +58,23 @@ class QueryBuilder:
             raise GraphError(f"unknown action {action!r}")
         self.history.append(action)
         return result
+
+    def apply_all(self, actions: Iterable[Action]
+                  ) -> List[Optional[object]]:
+        """Apply actions in order, all or none; returns each result.
+
+        When taking or applying an action raises, the query, the
+        history and the next node id are restored to what they were
+        before the first, and the error propagates.
+        """
+        query, steps, next_id = (self.query.copy(), len(self.history),
+                                 self._next_id)
+        try:
+            return [self.apply(action) for action in actions]
+        except BaseException:
+            self.query, self._next_id = query, next_id
+            del self.history[steps:]
+            raise
 
     # -- convenience wrappers -------------------------------------------
     def add_node(self, label: str = "") -> int:

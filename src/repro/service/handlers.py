@@ -246,10 +246,7 @@ def handle_session_actions(service,
     actions = request.body.get("actions")
     if not isinstance(actions, list) or not actions:
         raise OptionError("actions must be a non-empty list")
-    results: List[object] = []
-    with session.lock:
-        for action in actions:
-            results.append(session.apply_action(action))
+    results = session.apply_actions(actions)
     state = session.state()
     state["results"] = results
     return state

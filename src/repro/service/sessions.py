@@ -18,8 +18,10 @@ from typing import Dict, List, Optional
 from repro.errors import OptionError, UnknownNameError
 from repro.graph.io import graph_to_dict
 from repro.query.actions import (
+    Action,
     AddEdge,
     AddNode,
+    AddPattern,
     DeleteEdge,
     DeleteNode,
     MergeNodes,
@@ -67,33 +69,44 @@ class Session:
         self.snapshot = snapshot
         self.lock = threading.Lock()
 
-    def apply_action(self, action: Dict[str, object]) -> object:
-        """Apply one wire action; returns the action-specific result.
+    def apply_actions(self, actions: List[object]) -> List[object]:
+        """Apply a batch of wire actions, all or none, under the lock.
 
-        The ``op`` field selects the :mod:`repro.query.actions` class
-        and the remaining fields are its arguments; every action goes
-        through :meth:`QueryBuilder.apply`, so the history counts it.
-        ``add_pattern`` takes ``index`` into the session snapshot's
-        canned panel — the wire never ships pattern graphs it already
-        published.
+        Returns each action's result.  A malformed or rejected action
+        leaves the session as it was before the batch
+        (:meth:`QueryBuilder.apply_all`), so a retry does not apply
+        the batch's first actions twice.
+        """
+        with self.lock:
+            results = self.builder.apply_all(
+                self._action(action) for action in actions)
+        # add_pattern's pattern-node -> query-node mapping; JSON
+        # objects cannot key on ints, so ship the same pair-list
+        # shape embeddings use
+        return [[[u, v] for u, v in sorted(result.items())]
+                if isinstance(result, dict) else result
+                for result in results]
+
+    def _action(self, action: object) -> Action:
+        """One wire action as its :mod:`repro.query.actions` object.
+
+        The ``op`` field selects the class and the remaining fields
+        are its arguments.  ``add_pattern`` takes ``index`` into the
+        session snapshot's canned panel — the wire never ships
+        pattern graphs it already published.
         """
         if not isinstance(action, dict):
             raise OptionError("each action must be a JSON object")
         op = action.get("op")
         if op == "add_pattern":
-            pattern = self.snapshot.pattern_at(
-                _int_field(action, op, "index"))
-            mapping = self.builder.add_pattern(pattern)
-            # pattern-node -> query-node pairs; JSON objects cannot
-            # key on ints, so ship the same pair-list shape
-            # embeddings use
-            return [[u, v] for u, v in sorted(mapping.items())]
+            return AddPattern(self.snapshot.pattern_at(
+                _int_field(action, op, "index")))
         if not isinstance(op, str) or op not in _WIRE_ACTIONS:
             raise OptionError(f"unknown action op {op!r}")
         cls, fields = _WIRE_ACTIONS[op]
-        return self.builder.apply(cls(*(
+        return cls(*(
             str(action.get(field, "")) if field == "label"
-            else _int_field(action, op, field) for field in fields)))
+            else _int_field(action, op, field) for field in fields))
 
     def state(self) -> Dict[str, object]:
         """The session's wire-visible state."""

@@ -12,7 +12,7 @@ from repro.errors import (
 from repro.clustering.features import subtree_census
 from repro.graph import Graph, build_graph, edge_key
 from repro.graphlets import count_graphlets
-from repro.matching import canonical_code
+from repro.matching import canonical_code, isomorphism
 from repro.perf import graph_fingerprint
 
 
@@ -252,6 +252,7 @@ DERIVED_VIEWS = {
     "canonical_code": canonical_code,
     "fingerprint": graph_fingerprint,
     "graphlets": lambda g: g.view("graphlets", count_graphlets),
+    "match_plan": lambda g: g.view("match_plan", isomorphism._match_plan),
     "subtree_census": subtree_census,
 }
 

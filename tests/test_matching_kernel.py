@@ -9,6 +9,7 @@ feasibility work.
 """
 
 import itertools
+import pickle
 import random
 
 import pytest
@@ -18,7 +19,14 @@ from repro.datasets import (
     generate_chemical_repository,
     generate_network,
 )
-from repro.graph import Graph, build_graph, complete_graph, gnm_random_graph
+from repro.graph import (
+    CompactGraph,
+    Graph,
+    build_graph,
+    complete_graph,
+    gnm_random_graph,
+)
+from repro.graph import compact
 from repro.graph.operations import induced_subgraph, sample_connected_node_set
 from repro.matching import (
     WILDCARD,
@@ -26,6 +34,7 @@ from repro.matching import (
     covered_edges,
     labels_compatible,
 )
+from repro.matching import isomorphism
 from repro import obs
 from repro.obs import matching_snapshot
 from tests.oracles import LegacyMatcher
@@ -221,6 +230,84 @@ class TestCandidatePools:
         target = build_graph([(0, "A"), (1, "B")])
         matcher = SubgraphMatcher(pattern, target)
         assert set(matcher._pools[0]) == {0, 1}
+
+    def test_one_requirement_builds_one_pool(self, monkeypatch):
+        """Pattern nodes that ask the same of a target share the pool
+        its compact view built once, across matchers and patterns."""
+        builds = []
+        rule = isomorphism._candidate_pool
+
+        def counted(c, key):
+            builds.append(key)
+            return rule(c, key)
+
+        monkeypatch.setattr(isomorphism, "_candidate_pool", counted)
+        # no budget clear between the three matchers
+        monkeypatch.setattr(compact, "POOL_MEMO_LIMIT", 10 ** 9)
+        target = gnm_random_graph(30, 60, random.Random(4),
+                                  labels=["A", "B"])
+        first = build_graph([(0, "A"), (1, "B")], edges=[(0, 1)])
+        second = build_graph([(5, "B"), (7, "A")], edges=[(5, 7)])
+        one, two, again = (SubgraphMatcher(first, target),
+                           SubgraphMatcher(second, target),
+                           SubgraphMatcher(first, target))
+        assert sorted(builds) == [("A", 1, (("B", 1),)),
+                                  ("B", 1, (("A", 1),))]
+        assert two._pools[7] is one._pools[0] is again._pools[0]
+        assert two._pool_sets[5] is one._pool_sets[1]
+
+    def test_pools_follow_target_mutation(self):
+        pattern = build_graph([(0, "A"), (1, "B")], edges=[(0, 1)])
+        target = build_graph([(0, "A"), (1, "B"), (2, "A")],
+                             edges=[(0, 1)])
+        assert len(SubgraphMatcher(pattern, target)._pools[0]) == 1
+        target.add_node(3, label="A")
+        target.add_edge(3, 1)
+        matcher = SubgraphMatcher(pattern, target)
+        assert len(matcher._pools[0]) == 2
+        assert {0: 3, 1: 1} in list(
+            matcher.iter_embeddings(max_results=None))
+
+    def test_matching_leaves_the_wire_form_alone(self):
+        for name, pattern, target, induced in smoke_cases():
+            wire = pickle.dumps(target)
+            encoded = target.compact().encode()
+            list(SubgraphMatcher(pattern, target, induced=induced)
+                 .iter_embeddings(max_results=None))
+            assert target.compact()._pools, name
+            assert pickle.dumps(target) == wire, name
+            assert target.compact().encode() == encoded, name
+            assert pickle.dumps(target.compact()) == \
+                pickle.dumps(CompactGraph.from_encoded(encoded)), name
+
+    def test_memos_share_one_bounded_budget(self, monkeypatch):
+        """More than the budget over several targets: the memos of
+        every view in the process never hold more in all, a pool
+        larger than the whole budget is not kept, and every pool
+        served equals a fresh build."""
+        limit = 400
+        monkeypatch.setattr(compact, "POOL_MEMO_LIMIT", limit)
+        rule = isomorphism._candidate_pool
+        views = [gnm_random_graph(40, 90, random.Random(seed),
+                                  labels=["A", "B", "C"]).compact()
+                 for seed in range(3)]
+        keys = [("ABC"[i % 3], i // 3 % 4,
+                 (("ABC"[i // 12 % 3], 1 + i // 36),))
+                for i in range(108)]
+        assert sum(1 + len(rule(c, key)[0])
+                   for c in views for key in keys) > 2 * limit
+        for _ in range(2):
+            for c in views:
+                for key in keys:
+                    assert c.candidate_pool(key, rule) == rule(c, key)
+                    assert sum(1 + len(pool[0])
+                               for view in compact._pool_budget.views
+                               for pool in view._pools.values()) \
+                        <= compact._pool_budget.held <= limit
+        monkeypatch.setattr(compact, "POOL_MEMO_LIMIT", 40)
+        wildcard = (WILDCARD, 0, ())
+        assert len(views[0].candidate_pool(wildcard, rule)[0]) == 40
+        assert wildcard not in (views[0]._pools or {})
 
 
 class TestKernelCounters:

@@ -37,10 +37,12 @@ from repro.core.pipeline import (  # noqa: E402
     run_catapult,
     run_tattoo,
 )
+from repro import obs  # noqa: E402
 from repro.datasets import (  # noqa: E402
     NetworkConfig,
     generate_chemical_repository,
     generate_network,
+    generate_network_workload,
 )
 from repro.graph.io import graph_to_dict  # noqa: E402
 from repro.obs import strip_wall_clock  # noqa: E402
@@ -371,9 +373,33 @@ class TestSessions:
 
         refused = service.dispatch("POST", path, {"actions": [rejected]})
         assert refused.status in (400, 404)
+        # nor does a valid action that a rejected one follows
+        batch = service.dispatch("POST", path, {"actions": [
+            {"op": "add_node", "label": "C"}, rejected]})
+        assert batch.status == refused.status
+        assert batch.body["error"]["type"] == \
+            refused.body["error"]["type"]
         state = service.dispatch("GET", f"/v1/sessions/{sid}").body
         assert state["steps"] == after.body["steps"]
         assert state["actions"] == after.body["actions"]
+        assert state["query"] == after.body["query"]
+
+    def test_a_rejected_batch_leaves_the_session_as_it_was(self, service):
+        sid = service.dispatch("POST", "/v1/sessions").body["session"]
+        path = f"/v1/sessions/{sid}/actions"
+        adds = [{"op": "add_node", "label": "C"},
+                {"op": "add_node", "label": "C"}]
+        refused = service.dispatch("POST", path, {"actions": adds + [
+            {"op": "delete_node", "node": 9}]})
+        assert refused.status == 400
+        assert refused.body["error"]["type"] == "NodeNotFoundError"
+        state = service.dispatch("GET", f"/v1/sessions/{sid}").body
+        assert state["steps"] == 0
+        assert state["query"]["nodes"] == []
+        # a retry without the bad action gets the ids it would have
+        retried = service.dispatch("POST", path, {"actions": adds})
+        assert retried.body["results"] == [0, 1]
+        assert retried.body["steps"] == 2
 
     def test_session_query_and_suggest(self, service):
         sid = service.dispatch("POST", "/v1/sessions").body["session"]
@@ -711,6 +737,78 @@ class TestMixedTrafficConcurrency:
                                "/v1/metrics").body["metrics"]
         assert "service.errors.unhandled" \
             not in metrics["counters"]
+
+
+class TestConcurrentMatching:
+    """Handler threads share the served network's candidate-pool memo
+    (two threads that miss together both build equal pools), so eight
+    threads of queries and answerable suggests must answer and count
+    exactly like one."""
+
+    THREADS = 8
+    NETWORK = NetworkConfig(nodes=150, cliques=3, petals=2, flowers=2)
+    KERNEL = ("feasibility_checks", "recursive_calls",
+              "candidates_pruned")
+
+    def jobs(self, svc, network):
+        panel = len(svc.dispatch("GET", "/v1/patterns").body["patterns"])
+        queries = [("query", graph_to_dict(query)) for query in
+                   generate_network_workload(network, 24, seed=5)]
+        suggests = [("suggest", index % panel) for index in range(16)]
+        return queries + suggests
+
+    def answer(self, svc, job):
+        kind, arg = job
+        if kind == "query":
+            reply = svc.dispatch("POST", "/v1/query", {"query": arg})
+        else:
+            sid = svc.dispatch("POST", "/v1/sessions").body["session"]
+            svc.dispatch("POST", f"/v1/sessions/{sid}/actions", {
+                "actions": [{"op": "add_pattern", "index": arg}]})
+            reply = svc.dispatch("POST", "/v1/suggest", {
+                "session": sid, "node": 0, "answerable_only": True})
+            svc.dispatch("DELETE", f"/v1/sessions/{sid}")
+        assert reply.status == 200, reply.body
+        return canonical_bytes(reply.body)
+
+    def run(self, threads):
+        """Bodies and kernel counts of every job on a fresh service."""
+        network = generate_network(self.NETWORK, seed=5)
+        svc = PatternService(network,
+                             PipelineConfig(budget=BUDGET, seed=3))
+        jobs = self.jobs(svc, network)
+        obs.reset()
+        bodies = [None] * len(jobs)
+        barrier = threading.Barrier(threads, timeout=60)
+
+        def work(first):
+            barrier.wait()
+            for index in range(first, len(jobs), threads):
+                bodies[index] = self.answer(svc, jobs[index])
+
+        workers = [threading.Thread(target=work, args=(first,))
+                   for first in range(threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        stats = obs.matching_snapshot()
+        svc.close()
+        return bodies, {key: stats[key] for key in self.KERNEL}
+
+    def test_threads_answer_and_count_like_one(self):
+        serial_bodies, serial_counts = self.run(1)
+        bodies, counts = self.run(self.THREADS)
+        assert None not in bodies
+        assert bodies == serial_bodies
+        assert counts == serial_counts
+        assert serial_counts["feasibility_checks"] > 0
 
 
 class TestRequestLogReplay:

@@ -31,7 +31,7 @@ on:
 
 ``deadline_anytime`` re-runs CATAPULT under deadlines of 50% and 25%
 of its wall time and gates that the panel is never empty.
-``durable_vs_memory`` drives one engine epoch of 5-in/5-out batches
+``durable_vs_memory`` drives :data:`DURABLE_BATCHES` 5-in/5-out batches
 through a memory-backed and a durable
 (:class:`repro.store.DiskBackend`) service: both must serve
 identical panels after every batch, and (full run only, 120 graphs)
@@ -111,7 +111,6 @@ from repro.patterns import (
     greedy_select,
 )
 from repro.service import DEFAULT_BUDGET, PatternService, strip_volatile, wire
-from repro.service.app import EPOCH_BATCHES
 from repro.store import DiskBackend, MemoryBackend
 from tests.oracles import legacy_pickle_payload, naive_selection
 
@@ -122,6 +121,9 @@ WORKER_COUNTS = (1, 4)
 
 #: Maximum allowed |hit_rate(workers=4) - hit_rate(workers=1)|.
 HIT_RATE_TOLERANCE = 0.01
+
+#: Batches ``durable_vs_memory`` streams through each backend.
+DURABLE_BATCHES = 16
 
 #: Durable batch p50 over memory batch p50 the full run accepts.
 DURABLE_RATIO_BOUND = 1.5
@@ -419,9 +421,9 @@ def run_durable_vs_memory(smoke: bool) -> Tuple[Row, List[Gate]]:
     """One batch stream through a memory-backed and a durable service.
 
     The stream is the service benchmark's ``repo-durable`` shape
-    (5 graphs in, 5 out, additions drifting from batch 12), one
-    engine epoch long.  Each backend starts from a cold match cache
-    and its own copy of the data; ``batch_ms`` times each
+    (5 graphs in, 5 out, additions drifting from batch 12),
+    :data:`DURABLE_BATCHES` long.  Each backend starts from a cold
+    match cache and its own copy of the data; ``batch_ms`` times each
     ``apply_maintenance`` call, WAL and commit included.  The ratio
     is gated on the full run's 120 graphs only.
     """
@@ -432,7 +434,7 @@ def run_durable_vs_memory(smoke: bool) -> Tuple[Row, List[Gate]]:
         evolving = EvolvingRepository([g.copy() for g in repo])
         batches = []
         for batch in generate_update_stream(
-                evolving, EPOCH_BATCHES, 5, seed=2,
+                evolving, DURABLE_BATCHES, 5, seed=2,
                 removal_fraction=1.0, drift_after=12):
             evolving.apply(batch)
             batches.append(batch)
@@ -461,7 +463,7 @@ def run_durable_vs_memory(smoke: bool) -> Tuple[Row, List[Gate]]:
     identical = durable_panels == memory_panels
     row = {
         "name": "durable_vs_memory",
-        "params": {"repository_size": size, "batches": EPOCH_BATCHES,
+        "params": {"repository_size": size, "batches": DURABLE_BATCHES,
                    "batch_size": 5, "repository_seed": 1,
                    "stream_seed": 2, "seed": 0},
         "runs": {"memory": memory, "durable": durable},
@@ -469,8 +471,8 @@ def run_durable_vs_memory(smoke: bool) -> Tuple[Row, List[Gate]]:
         "panels_identical": identical,
     }
     gates = [_gate("durable_vs_memory.panels", identical,
-                   f"identical panels after each of {EPOCH_BATCHES} "
-                   "batches (one epoch)")]
+                   f"identical panels after each of {DURABLE_BATCHES} "
+                   "batches")]
     if smoke:
         gates.append(_gate(
             "durable_vs_memory.ratio", None,

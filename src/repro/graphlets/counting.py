@@ -119,8 +119,10 @@ def gfd_distance(gfd1: Dict[str, float], gfd2: Dict[str, float]) -> float:
     """Euclidean distance between two graphlet frequency distributions.
 
     This is the drift measure MIDAS thresholds to classify a batch of
-    updates as a minor or major modification.
+    updates as a minor or major modification.  The squares are summed
+    in sorted key order: a set's order changes with the process's
+    string hash seed, and so would the sum's last bits.
     """
-    keys = set(gfd1) | set(gfd2)
+    keys = sorted(set(gfd1) | set(gfd2))
     return math.sqrt(sum((gfd1.get(k, 0.0) - gfd2.get(k, 0.0)) ** 2
                          for k in keys))

@@ -13,6 +13,11 @@ processes an :class:`repro.datasets.UpdateBatch` as follows:
    the pattern set is untouched; otherwise it is *major* — candidates
    are walked out of the modified CSGs and merged into the pattern
    set with multi-scan swapping, which never lowers the set score.
+
+:meth:`Midas.state` checkpoints what the engine holds that is not a
+function of its repository, as plain JSON; :meth:`Midas.restore`
+rebuilds from it an engine that applies the next batches exactly as
+the checkpointed one would.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set
 
 from repro.catapult.random_walk import generate_candidates
-from repro.clustering.features import FCTIndex, feature_vector_from_vocabulary
+from repro.clustering.features import FCTIndex, tree_feature_counts
 from repro.clustering.kmedoids import kmedoids
 from repro.clustering.similarity import (
     distance_matrix_from_vectors,
@@ -180,6 +185,11 @@ class Midas:
 
     def __init__(self, repository: Sequence[Graph],
                  config: PipelineConfig) -> None:
+        self._setup(repository, config)
+        self._initialize()
+
+    def _setup(self, repository: Sequence[Graph],
+               config: PipelineConfig) -> None:
         self.budget = config.require_budget()
         self.config = stage_config(MidasConfig, config)
         if not repository:
@@ -201,7 +211,9 @@ class Midas:
         self.membership: Dict[str, int] = {}
         self.summaries: Dict[int, SummaryGraph] = {}
         self.patterns: PatternSet = PatternSet()
-        self._initialize()
+        #: False once a deadline left a summary stale: the summaries
+        #: are then no function of the checkpointed state
+        self._checkpointable = True
 
     # ------------------------------------------------------------------
     # initialisation (CATAPULT with the FCT vocabulary)
@@ -223,7 +235,8 @@ class Midas:
                 for key, value in self._pooled_graphlets.items()}
 
     def _feature_of(self, graph: Graph) -> List[float]:
-        return feature_vector_from_vocabulary(graph, self._vocabulary)
+        counts = tree_feature_counts(graph)
+        return [float(counts.get(code, 0)) for code in self._vocabulary]
 
     def _initialize(self) -> None:
         deadline = Deadline.start(self.config.deadline_s)
@@ -236,7 +249,7 @@ class Midas:
                 for graph in graphs:
                     self._account_graphlets(graph, +1)
                 self._gfd = self.gfd()
-                self._vocabulary = self.fct.frequent_closed()
+                self._vocabulary = self._closed_codes()
                 stage.add("vocabulary", len(self._vocabulary))
                 report.record("fct", 1, 1)
             with span("midas.cluster") as stage:
@@ -290,10 +303,110 @@ class Midas:
         self.trace = run.record
         self.completion = report
 
+    def _closed_codes(self) -> List[str]:
+        """The clustering vocabulary: the frequent closed trees'
+        codes (feature vectors read nothing else)."""
+        return [tree.code for tree in self.fct.frequent_closed()]
+
     @property
     def degraded(self) -> bool:
         """True when initialisation stopped short of its full work."""
         return self.completion.degraded
+
+    # ------------------------------------------------------------------
+    # checkpoints
+    # ------------------------------------------------------------------
+    def _settings(self) -> Dict[str, object]:
+        """The settings a checkpoint is only valid under: the ones
+        that change results (not ``workers``, ``trace`` or retries)."""
+        config, budget = self.config, self.budget
+        weights = config.weights
+        return {
+            "budget": [budget.max_patterns, budget.min_size,
+                       budget.max_size],
+            "seed": config.seed,
+            "drift_threshold": config.drift_threshold,
+            "max_scans": config.max_scans,
+            "prune": config.prune,
+            "max_embeddings": config.max_embeddings,
+            "weights": [weights.coverage, weights.diversity,
+                        weights.cognitive_load],
+        }
+
+    def state(self) -> Optional[Dict[str, object]]:
+        """The engine's checkpoint, or ``None`` when a deadline left a
+        summary stale.
+
+        Plain JSON data (every ordered mapping is a list, so a
+        ``sort_keys`` dump keeps its order) holding what the engine
+        does not derive from its repository: the settings, the RNG,
+        the batch count, cluster membership aligned with the
+        repository order, the summaries' order, the drift baseline,
+        the vocabulary, the centroids and the last score.
+        """
+        if not self._checkpointable:
+            return None
+        version, internal, gauss = self._rng.getstate()
+        return {
+            "settings": self._settings(),
+            "rng": [version, list(internal), gauss],
+            "batch_index": self._batch_index,
+            "membership": [self.membership[name]
+                           for name in self._graphs],
+            "summaries": list(self.summaries),
+            "gfd": [[key, value] for key, value in self._gfd.items()],
+            "vocabulary": list(self._vocabulary),
+            "centroids": [[cluster, list(vector)] for cluster, vector
+                          in self._centroids.items()],
+            "last_score": self.last_score,
+        }
+
+    @classmethod
+    def restore(cls, repository: Sequence[Graph],
+                config: PipelineConfig, patterns: PatternSet,
+                state: Dict[str, object]) -> "Midas":
+        """The engine :meth:`state` checkpointed, over ``repository``
+        and ``patterns`` as they were committed with it.
+
+        Rebuilds what is a function of the graphs (the FCT index, the
+        pooled graphlet counts, one summary per cluster) and loads
+        the rest; no selection runs.  A checkpoint taken under other
+        result-affecting settings, or one that does not fit
+        ``repository``, raises :class:`repro.errors.MaintenanceError`.
+        """
+        engine = cls.__new__(cls)
+        engine._setup(repository, config)
+        if state.get("settings") != engine._settings():
+            raise MaintenanceError(
+                "the engine checkpoint was taken under other settings")
+        graphs = engine.graphs()
+        membership = list(state["membership"])
+        if len(membership) != len(graphs):
+            raise MaintenanceError(
+                f"the engine checkpoint holds {len(membership)} "
+                f"graph(s), the repository {len(graphs)}")
+        version, internal, gauss = state["rng"]
+        engine._rng.setstate((version, tuple(internal), gauss))
+        engine._batch_index = int(state["batch_index"])
+        engine.membership = {graph.name: int(label) for graph, label
+                             in zip(graphs, membership)}
+        engine._gfd = {str(key): float(value)
+                       for key, value in state["gfd"]}
+        engine._vocabulary = [str(code)
+                              for code in state["vocabulary"]]
+        engine._centroids = {int(cluster): [float(x) for x in vector]
+                             for cluster, vector in state["centroids"]}
+        engine.last_score = float(state["last_score"])
+        engine.fct.build(graphs)
+        for graph in graphs:
+            engine._account_graphlets(graph, +1)
+        for cluster in state["summaries"]:
+            engine.summaries[int(cluster)] = build_summary(
+                engine._cluster_members(int(cluster)))
+        engine.patterns = patterns
+        engine.trace = None
+        engine.completion = CompletionReport()
+        return engine
 
     # ------------------------------------------------------------------
     # shared helpers
@@ -322,6 +435,8 @@ class Midas:
             else:
                 self.summaries.pop(cluster, None)
             done += 1
+        if done < len(ordered):
+            self._checkpointable = False
         if report is not None:
             report.record("summaries", done, len(ordered))
 
@@ -528,7 +643,7 @@ class Midas:
                 run.add("kind", kind)
                 with span("midas.refresh"):
                     self._gfd = self.gfd()
-                    self._vocabulary = self.fct.frequent_closed()
+                    self._vocabulary = self._closed_codes()
                     self._centroids = self._compute_centroids()
                 with span("midas.candidates") as stage:
                     candidates = self._walk_candidates(

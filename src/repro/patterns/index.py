@@ -96,7 +96,7 @@ class CoverageIndex:
     Covered-edge sets come from the process's match cache
     (:func:`repro.perf.get_match_cache`), so they are computed once
     across index instances (MIDAS builds a fresh index per batch,
-    and a durable service a fresh engine per epoch).
+    and a restarted service a restored engine).
     """
 
     def __init__(self, graphs: Sequence[Graph],

@@ -73,15 +73,16 @@ class QueryEngine:
     def candidate_graphs(self, query: Graph) -> List[int]:
         """Indices of graphs containing every non-wildcard query label.
 
-        The query's distinct labels come straight off its compact
-        view's interned label table.  Labels intersect rarest-first:
+        The query's distinct labels are its label index's keys (the
+        matcher needs the target's compact view, never the query's).
+        Labels intersect rarest-first:
         starting from the smallest posting set keeps every
         intermediate intersection no larger than the rarest label's,
         and a selective query short-circuits to [] the moment the
         running intersection empties instead of scanning its
         remaining (possibly huge) posting sets.
         """
-        labels = set(query.compact().node_labels)
+        labels = set(query.label_index())
         labels.discard(WILDCARD)
         if not labels:  # all-wildcard query
             return sorted(range(len(self.repository)))

@@ -23,12 +23,11 @@ tests all drive.  The concurrency contract:
   ``degraded: true`` plus a per-stage report when the anytime
   pipelines stop early.
 * **Maintenance is incremental, durable or not.**  One MIDAS engine
-  applies batch after batch.  On a durable backend it lives for an
-  *epoch* of at most :data:`EPOCH_BATCHES` batches; every commit
-  pins the epoch's base (the WAL sequence and repository the engine
-  was built from), and recovery rebuilds the engine there and
-  replays the WAL history, so live maintenance and replay are one
-  deterministic function of (base, batches).
+  applies batch after batch until a build replaces the repository.
+  On a durable backend every commit carries the engine's checkpoint
+  (:meth:`repro.midas.Midas.state`), and recovery restores the
+  engine from it and replays only the WAL batches past the
+  watermark, so a restart neither re-selects nor replays history.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ import threading
 import time
 import warnings
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Mapping, Optional, Sequence, Union
 
 from repro.core.pipeline import PipelineConfig, run_selection
 from repro.datasets.evolving import UpdateBatch
@@ -77,17 +76,10 @@ from repro.store.backends import (
     MemoryBackend,
     RecoveryReport,
     RepositoryBackend,
-    StoreState,
 )
-from repro.store.format import encode_pattern_blob
 
 #: The budget a service built without one selects under.
 DEFAULT_BUDGET = PatternBudget(8, min_size=4, max_size=8)
-
-#: Batches one MIDAS engine applies on a durable backend before the
-#: next batch builds a new one: the most WAL history a recovery
-#: replays.
-EPOCH_BATCHES = 16
 
 
 @dataclass(frozen=True)
@@ -160,10 +152,6 @@ class PatternService:
         self.engine_lock = threading.Lock()
         self._midas: Optional[Midas] = None
         self._midas_snapshot: Optional[str] = None
-        #: the engine's base, ``(wal_seq, repository)``, and the
-        #: batches it has applied since
-        self._epoch_base: Optional[Tuple[int, List[Graph]]] = None
-        self._epoch_batches = 0
         self._id_lock = threading.Lock()
         self._request_counter = 0
         self._inflight = 0
@@ -217,67 +205,50 @@ class PatternService:
         """Recover from the backend when it has state, else run the
         initial build and persist it.
 
-        Recovery publishes the stored snapshot exactly as committed.
-        It then rebuilds the epoch's engine at the pinned base and
-        replays the WAL history up to the watermark into it, which
-        must re-derive the committed pattern set bit for bit.  Last,
-        it replays the WAL batches past the watermark through the
-        same apply path live maintenance uses, so a batch that was
-        half-committed lands in its post-batch state and one that
-        never reached the WAL stays pre-batch.
+        Recovery publishes the stored snapshot exactly as committed
+        and restores the MIDAS engine committed with it, if any.
+        Then it replays the WAL batches past the watermark through
+        the same apply path live maintenance uses, so a batch that
+        was half-committed lands in its post-batch state and one
+        that never reached the WAL stays pre-batch.
         """
         recovered = self.backend.load()
         if recovered is None:
             self._initial_build(data)
             return
         self.recovery = recovered.report
-        self.snapshots.swap(recovered.data, recovered.patterns,
-                            recovered.generator)
+        snapshot = self.snapshots.swap(recovered.data,
+                                       recovered.patterns,
+                                       recovered.generator)
         with self.engine_lock:
-            if recovered.history:
-                self._replay_history(recovered)
+            if recovered.engine is not None:
+                self._restore_midas(snapshot, recovered.engine)
             for seq, batch in recovered.pending:
                 self._apply_batch_locked(batch, wal_seq=seq)
                 recovered.report.replayed_batches += 1
 
-    def _replay_history(self, recovered: StoreState) -> None:
-        """Rebuild the epoch's engine at its base and replay the WAL
-        history into it; keep it only if it re-derives the committed
-        pattern set and repository order.  Callers hold
-        ``engine_lock``.
+    def _restore_midas(self, snapshot: EngineSnapshot,
+                       state: Dict[str, object]) -> None:
+        """Restore the engine checkpointed with ``snapshot``.  Callers
+        hold ``engine_lock``.
 
-        A replay that raises or disagrees is counted as
-        ``store.recovery.replay_mismatch`` and its engine dropped:
-        the committed snapshot keeps serving and the next batch
-        starts a new epoch there.
+        A checkpoint that does not fit (other engine settings, or
+        another repository) warns and counts
+        ``store.recovery.engine_mismatch``; the committed snapshot
+        keeps serving and the next batch builds a new engine.
         """
-        current = self.snapshots.current()
-        problem = None
         try:
-            engine = Midas(list(recovered.base), self.pipeline)
-            for _, batch in recovered.history:
-                engine.apply_batch(batch)
-                recovered.report.history_batches += 1
-        except Exception as exc:
-            problem = f"raised {exc!r}"
-        else:
-            if [graph.name for graph in engine.graphs()] \
-                    != [graph.name for graph in current.repository] \
-                    or encode_pattern_blob(engine.patterns) \
-                    != encode_pattern_blob(current.patterns):
-                problem = "re-derived another pattern set or order"
-        if problem is not None:
-            metrics.inc("store.recovery.replay_mismatch")
+            engine = Midas.restore(snapshot.repository, self.pipeline,
+                                   snapshot.patterns, state)
+        except MaintenanceError as exc:
+            metrics.inc("store.recovery.engine_mismatch")
             warnings.warn(
-                f"replaying {len(recovered.history)} WAL batch(es) "
-                f"from the epoch base {problem}; serving the "
-                "committed snapshot and starting a new epoch",
-                stacklevel=3)
+                f"the committed MIDAS engine does not fit this "
+                f"service ({exc}); serving the committed snapshot, "
+                "and the next batch builds a new engine", stacklevel=3)
             return
         self._midas = engine
-        self._midas_snapshot = current.snapshot_id
-        self._epoch_base = (recovered.base_seq, list(recovered.base))
-        self._epoch_batches = len(recovered.history)
+        self._midas_snapshot = snapshot.snapshot_id
 
     def _initial_build(self, data: Union[Graph, Sequence[Graph]]
                        ) -> None:
@@ -294,9 +265,8 @@ class PatternService:
         maintenance's do, so a build can never land between a
         batch's swap and its commit (the store would then recover a
         state the service no longer serves) and no two commits
-        overlap.  A build ends the epoch: the engine describes
-        graphs the service no longer serves, and the commit pins the
-        built state as the next base.
+        overlap.  A build drops the engine, which describes graphs
+        the service no longer serves, so its commit carries none.
         """
         with self.engine_lock:
             snapshot = self.snapshots.swap(data, patterns, generator)
@@ -333,8 +303,8 @@ class PatternService:
         A batch the engine fails on is rolled back before the error
         propagates: the engine, which may hold part of the batch, is
         dropped, and the unchanged snapshot is committed at the
-        batch's ``wal_seq`` as the next epoch's base, so recovery
-        never replays a batch the client saw fail.
+        batch's ``wal_seq`` with no engine, so recovery never replays
+        a batch the client saw fail.
         """
         engine = self.ensure_midas()
         try:
@@ -344,33 +314,27 @@ class PatternService:
             self._commit_snapshot(self.snapshots.current(),
                                   wal_seq=wal_seq)
             raise
-        self._epoch_batches += 1
         snapshot = self.publish_midas()
         self._commit_snapshot(snapshot, wal_seq=wal_seq)
         return snapshot, report
 
     def _commit_snapshot(self, snapshot: EngineSnapshot,
                          wal_seq: Optional[int] = None) -> None:
-        """Persist ``snapshot``, pinning the live engine's base (a
-        commit with no live engine is its own base)."""
+        """Persist ``snapshot`` with the live engine's checkpoint
+        (none when no engine is live)."""
         self.backend.commit(snapshot.repository, snapshot.network,
                             snapshot.patterns, snapshot.generator,
                             wal_seq=wal_seq,
-                            base=self._epoch_base
+                            engine=self._midas.state()
                             if self._midas is not None else None)
 
     def ensure_midas(self) -> Midas:
         """The maintenance engine over the *current* repository.
 
-        Created lazily on first use and recreated whenever a build
-        has republished the repository since (the engine's state
-        describes graphs the service no longer serves) or, on a
-        durable backend, once it has applied :data:`EPOCH_BATCHES`
-        batches.  A new engine's base is the backend's watermark and
-        the repository it is built from.  The rollover depends only
-        on the batches the engine has applied, so recovery replay
-        reaches the live path's decision.  Callers hold
-        ``engine_lock``.
+        Created lazily on first use (unless recovery restored one)
+        and recreated whenever a build has republished the repository
+        since: the engine's state describes graphs the service no
+        longer serves.  Callers hold ``engine_lock``.
         """
         current = self.snapshots.current()
         if current.is_network:
@@ -378,14 +342,9 @@ class PatternService:
                 "maintenance needs a repository service; this "
                 "service serves a single network")
         if self._midas is None \
-                or self._midas_snapshot != current.snapshot_id \
-                or (self.backend.durable
-                    and self._epoch_batches >= EPOCH_BATCHES):
-            repository = list(current.repository)
-            self._midas = Midas(repository, self.pipeline)
+                or self._midas_snapshot != current.snapshot_id:
+            self._midas = Midas(list(current.repository), self.pipeline)
             self._midas_snapshot = current.snapshot_id
-            self._epoch_base = (self.backend.watermark(), repository)
-            self._epoch_batches = 0
         return self._midas
 
     def publish_midas(self) -> EngineSnapshot:

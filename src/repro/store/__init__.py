@@ -9,15 +9,15 @@ recoverable (stdlib-only, like every repro subsystem):
   repository-list call sites (``repro-vqi serve --store DIR``);
 * :class:`WriteAheadLog` — fsync-per-record batch log, appended
   *before* ``Midas.apply_batch`` so every crash point recovers to
-  the pre-batch or post-batch pattern set, bitwise, and kept back to
-  the engine epoch's base so recovery can replay the epoch;
+  the pre-batch or post-batch pattern set, bitwise;
 * :class:`SegmentStore` — framed, CRC-checksummed
   ``CompactGraph.encode()`` records, content-addressed, with torn
   tails truncated and damaged sealed regions quarantined;
 * the manifest (:func:`write_manifest` / :func:`load_manifest`) —
   one atomic write-temp→fsync→rename pointer pinning a consistent
-  ``(segments, pattern blob, repository order, WAL watermark, epoch
-  base)`` snapshot.
+  ``(segments, pattern blob, repository order, WAL watermark, MIDAS
+  engine checkpoint)`` snapshot, so a restart restores the engine
+  instead of re-selecting.
 
 DESIGN.md ("Durability & recovery") specifies the file formats, the
 crash matrix, and the recovery invariants; reprolint R019 enforces
@@ -25,6 +25,7 @@ the flush+fsync discipline over this package.
 """
 
 from repro.store.backends import (
+    WAL_CUT_EVERY,
     DiskBackend,
     MemoryBackend,
     RecoveryReport,
@@ -57,6 +58,7 @@ __all__ = [
     "RepositoryBackend",
     "SegmentStore",
     "StoreState",
+    "WAL_CUT_EVERY",
     "WriteAheadLog",
     "decode_graph_record",
     "decode_pattern_blob",

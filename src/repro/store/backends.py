@@ -7,13 +7,14 @@ on either backend:
 
 * :meth:`~RepositoryBackend.load` at boot → ``None`` (cold start,
   run the initial build) or a :class:`StoreState` (recovered
-  repository + pattern set, the epoch base with the WAL history
-  since it, and the pending WAL batches to replay);
+  repository + pattern set, the MIDAS engine checkpoint committed
+  with them, and the pending WAL batches to replay);
 * :meth:`~RepositoryBackend.log_batch` *before* ``Midas.apply_batch``
   (write-ahead: the batch is durable before any state changes);
 * :meth:`~RepositoryBackend.commit` after every snapshot publish
-  (segments → pattern blob → manifest rename → WAL checkpoint at the
-  epoch base when it moved, each step atomic or append-only);
+  (segments → pattern blob → manifest rename, which carries the
+  engine checkpoint → a WAL cut once every :data:`WAL_CUT_EVERY`
+  batches, each step atomic or append-only);
 * :meth:`~RepositoryBackend.close` on shutdown.
 
 :class:`MemoryBackend` no-ops all four — the pre-store behavior.
@@ -27,11 +28,9 @@ on either backend:
 Crash recovery = ``load()``: validate the manifest, scan segments
 against their sealed extents (truncate unsealed tails, quarantine
 damaged sealed regions), verify the pattern blob's SHA-256, truncate
-a torn WAL tail, and hand back the epoch base (the WAL sequence and
-ordered repository the service's MIDAS engine was built from), the
-WAL history from the base to the manifest's watermark, and every WAL
-batch past the watermark.  Segments are never garbage-collected, so
-a base's graph records stay loadable for as long as it is pinned.
+a torn WAL tail, and hand back the committed engine checkpoint (none
+when quarantine lost a graph it describes) and every WAL batch past
+the manifest's watermark.
 """
 
 from __future__ import annotations
@@ -63,6 +62,12 @@ from repro.store.wal import WriteAheadLog
 #: Chaos site covering the pattern blob's atomic write.
 SITE_PATTERNS = "store.patterns.write"
 
+#: A commit cuts the WAL back to its watermark only when that is a
+#: multiple of this.  Records at or below the watermark are never
+#: replayed (``scan`` filters them by sequence), but a cut rewrites
+#: the log (two fsyncs), so most commits leave them in place.
+WAL_CUT_EVERY = 16
+
 
 def _manifest_entries(graphs: Sequence[Graph]) -> List[Dict[str, str]]:
     """The manifest's ordered ``{name, fingerprint, record}`` list."""
@@ -77,8 +82,7 @@ class RecoveryReport:
 
     __slots__ = ("quarantined_segments", "repaired_segments",
                  "dropped_graphs", "truncated_wal_bytes",
-                 "pending_batches", "replayed_batches",
-                 "history_batches")
+                 "pending_batches", "replayed_batches")
 
     def __init__(self) -> None:
         self.quarantined_segments: List[str] = []
@@ -86,10 +90,8 @@ class RecoveryReport:
         self.dropped_graphs: List[str] = []
         self.truncated_wal_bytes = 0
         self.pending_batches = 0
-        #: filled in by the service: pending batches replayed, and
-        #: history batches replayed into the epoch's engine
+        #: filled in by the service: pending batches replayed
         self.replayed_batches = 0
-        self.history_batches = 0
 
     @property
     def degraded(self) -> bool:
@@ -105,7 +107,6 @@ class RecoveryReport:
             "truncated_wal_bytes": self.truncated_wal_bytes,
             "pending_batches": self.pending_batches,
             "replayed_batches": self.replayed_batches,
-            "history_batches": self.history_batches,
             "degraded": self.degraded,
         }
 
@@ -117,29 +118,25 @@ class RecoveryReport:
 class StoreState:
     """Everything :meth:`DiskBackend.load` recovered.
 
-    ``base_seq`` and ``base`` pin the epoch: the WAL sequence number
-    and the ordered repository the service's MIDAS engine was built
-    from.  ``history`` holds the WAL batches in ``(base_seq,
-    watermark]`` that engine applied before the commit, ``pending``
-    the batches logged past the watermark.
+    ``engine`` is the MIDAS engine checkpoint
+    (:meth:`repro.midas.Midas.state`) committed with the snapshot, or
+    ``None`` when no engine was live; ``pending`` holds the batches
+    logged past the watermark.
     """
 
     __slots__ = ("repository", "network", "patterns", "generator",
-                 "base_seq", "base", "history", "pending", "report")
+                 "engine", "pending", "report")
 
     def __init__(self, repository: List[Graph],
                  network: Optional[Graph], patterns: PatternSet,
-                 generator: str, base_seq: int, base: List[Graph],
-                 history: List[Tuple[int, UpdateBatch]],
+                 generator: str, engine: Optional[Dict[str, object]],
                  pending: List[Tuple[int, UpdateBatch]],
                  report: RecoveryReport) -> None:
         self.repository = repository
         self.network = network
         self.patterns = patterns
         self.generator = generator
-        self.base_seq = base_seq
-        self.base = base
-        self.history = history
+        self.engine = engine
         self.pending = pending
         self.report = report
 
@@ -153,19 +150,12 @@ class StoreState:
     def __repr__(self) -> str:
         return (f"<StoreState graphs={len(self.repository)} "
                 f"patterns={len(self.patterns)} "
-                f"history={len(self.history)} "
+                f"engine={self.engine is not None} "
                 f"pending={len(self.pending)}>")
 
 
 class RepositoryBackend:
     """The protocol both backends implement (also usable as a base)."""
-
-    #: durable backends recover by epoch replay: the service keeps
-    #: its MIDAS engine for a bounded number of batches, each commit
-    #: pins the base that engine was built from, and recovery
-    #: rebuilds it there and replays the WAL history, so live
-    #: maintenance and replay are one function of (base, batches)
-    durable = False
 
     def load(self) -> Optional[StoreState]:
         """Recover persisted state, or ``None`` for a cold start."""
@@ -179,18 +169,13 @@ class RepositoryBackend:
                network: Optional[Graph], patterns: PatternSet,
                generator: str,
                wal_seq: Optional[int] = None,
-               base: Optional[Tuple[int, Sequence[Graph]]] = None
-               ) -> None:
+               engine: Optional[Dict[str, object]] = None) -> None:
         """Persist one published snapshot.
 
-        ``base`` is the epoch's ``(wal_seq, repository)``, the state
-        the service's MIDAS engine was built from; ``None`` pins the
-        committed state itself.
+        ``engine`` is the checkpoint of the MIDAS engine that
+        produced it (:meth:`repro.midas.Midas.state`), ``None`` when
+        no engine is live.
         """
-
-    def watermark(self) -> int:
-        """Highest batch sequence folded into the served state."""
-        return 0
 
     def close(self) -> None:
         """Release file handles."""
@@ -206,8 +191,6 @@ class MemoryBackend(RepositoryBackend):
 class DiskBackend(RepositoryBackend):
     """WAL + segments + manifest under one store directory."""
 
-    durable = True
-
     def __init__(self, root: str) -> None:
         self.root = str(root)
         self.segments_dir = os.path.join(self.root, "segments")
@@ -219,8 +202,6 @@ class DiskBackend(RepositoryBackend):
         self.wal = WriteAheadLog(os.path.join(self.root, "wal.log"))
         self.segments = SegmentStore(self.segments_dir)
         self._wal_seq = 0
-        #: the epoch base the WAL was last checkpointed at
-        self._base_seq: Optional[int] = None
 
     def _sweep_temps(self) -> None:
         """Drop ``*.tmp`` leftovers from writes that never renamed."""
@@ -274,29 +255,20 @@ class DiskBackend(RepositoryBackend):
                 f"{digest!r})", path=blob_path)
         patterns = decode_pattern_blob(blob, path=blob_path)
         watermark = int(document.get("wal_seq", 0))
-        # a manifest without an epoch is its own base
-        base_seq, base = watermark, repository
-        epoch = document.get("epoch")
-        if epoch is not None:
-            pinned, lost = self._resolve(epoch.get("repository", []),
-                                         graphs)
-            if not (lost or report.dropped_graphs):
-                base_seq, base = int(epoch.get("wal_seq", 0)), pinned
-            elif int(epoch.get("wal_seq", 0)) < watermark:
-                warnings.warn(
-                    f"{self.manifest_path}: graphs of the epoch were "
-                    "lost to segment quarantine; starting a new epoch "
-                    "at the committed state", stacklevel=2)
-        logged, truncated = self.wal.scan(base_seq)
-        history = [item for item in logged if item[0] <= watermark]
-        pending = [item for item in logged if item[0] > watermark]
+        engine = document.get("engine")
+        if engine is not None and report.dropped_graphs:
+            warnings.warn(
+                f"{self.manifest_path}: graphs of the committed "
+                "engine were lost to segment quarantine; the next "
+                "batch builds a new engine", stacklevel=2)
+            engine = None
+        pending, truncated = self.wal.scan(watermark)
         report.truncated_wal_bytes = truncated
         report.pending_batches = len(pending)
         # pending batches replay through the live path, whose commits
         # advance the sequence; until then the watermark is the
         # sequence of the state being served
         self._wal_seq = watermark
-        self._base_seq = base_seq
         network: Optional[Graph] = None
         if document.get("network"):
             if not repository:
@@ -306,7 +278,7 @@ class DiskBackend(RepositoryBackend):
             network = repository[0]
         return StoreState(repository, network, patterns,
                           str(document.get("generator", "catapult")),
-                          base_seq, base, history, pending, report)
+                          engine, pending, report)
 
     def _resolve(self, items, graphs: Dict[str, Graph]
                  ) -> Tuple[List[Graph], List[str]]:
@@ -341,48 +313,37 @@ class DiskBackend(RepositoryBackend):
                network: Optional[Graph], patterns: PatternSet,
                generator: str,
                wal_seq: Optional[int] = None,
-               base: Optional[Tuple[int, Sequence[Graph]]] = None
-               ) -> None:
-        if wal_seq is None:
-            wal_seq = self._wal_seq
+               engine: Optional[Dict[str, object]] = None) -> None:
+        wal_seq = self._wal_seq if wal_seq is None else int(wal_seq)
         members = list(repository)
-        base_seq, base_members = (int(wal_seq), members) \
-            if base is None else (int(base[0]), list(base[1]))
-        # a base built from a snapshot whose own commit failed may
-        # hold graphs no committed repository did
-        self.segments.append(members + base_members)
+        self.segments.append(members)
         blob = encode_pattern_blob(patterns)
         blob_sha = hashlib.sha256(blob).hexdigest()
         blob_name = f"patterns-{blob_sha[:16]}.bin"
         atomic_write(os.path.join(self.patterns_dir, blob_name),
                      blob, SITE_PATTERNS, key=blob_name)
-        write_manifest(self.manifest_path, {
-            "wal_seq": int(wal_seq),
+        document = {
+            "wal_seq": wal_seq,
             "generator": generator,
             "network": network is not None,
             "segments": [dict(entry)
                          for entry in self.segments.entries],
             "repository": _manifest_entries(members),
-            "epoch": {"wal_seq": base_seq,
-                      "repository": _manifest_entries(base_members)},
             "patterns": {"file": blob_name, "sha256": blob_sha,
                          "count": len(patterns)},
-        })
-        # the log keeps the epoch's history for replay, so it is cut
-        # only when the base moves
-        if base_seq != self._base_seq:
-            self.wal.checkpoint(base_seq)
-            self._base_seq = base_seq
-        self._wal_seq = max(self._wal_seq, int(wal_seq))
+        }
+        if engine is not None:
+            document["engine"] = engine
+        write_manifest(self.manifest_path, document)
+        if wal_seq % WAL_CUT_EVERY == 0:
+            self.wal.checkpoint(wal_seq)
+        self._wal_seq = max(self._wal_seq, wal_seq)
         self._gc_pattern_blobs(keep=blob_name)
 
     def _gc_pattern_blobs(self, keep: str) -> None:
         for name in sorted(os.listdir(self.patterns_dir)):
             if name != keep and name.startswith("patterns-"):
                 os.unlink(os.path.join(self.patterns_dir, name))
-
-    def watermark(self) -> int:
-        return self._wal_seq
 
     def close(self) -> None:
         self.wal.close()
@@ -400,4 +361,5 @@ __all__ = [
     "RepositoryBackend",
     "SITE_PATTERNS",
     "StoreState",
+    "WAL_CUT_EVERY",
 ]

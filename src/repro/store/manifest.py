@@ -5,10 +5,11 @@ served state bitwise: the sealed segment extents, the repository as
 an *ordered* list of content fingerprints (order matters — MIDAS
 iteration and snapshot identity both follow it), the pattern blob's
 name and SHA-256, the WAL watermark (highest batch sequence already
-folded in), the generator tag, and the engine epoch's base (the WAL
-sequence and ordered repository the service's MIDAS engine was
-built from, which recovery replays the WAL history onto; a document
-without one is its own base).  It is replaced only via
+folded in), the generator tag, and the checkpoint of the MIDAS
+engine that produced the snapshot (``"engine"``, plain JSON from
+:meth:`repro.midas.Midas.state`, absent when no engine was live), so
+the engine restores under the same checksum and rename as the rest
+of the snapshot.  It is replaced only via
 write-temp → fsync → ``os.replace`` → directory fsync, so a crash at
 any instant leaves either the old manifest or the new one — never a
 torn hybrid — and the embedded whole-document checksum turns the
@@ -47,8 +48,8 @@ def write_manifest(path: str, document: Dict[str, object]) -> None:
 
     The schema tag and self-checksum are stamped here; callers pass
     only the payload fields (``wal_seq``, ``generator``,
-    ``network``, ``segments``, ``repository``, ``epoch``,
-    ``patterns``).
+    ``network``, ``segments``, ``repository``, ``patterns`` and,
+    when an engine is live, ``engine``).
     """
     stamped = dict(document)
     stamped["schema"] = MANIFEST_SCHEMA

@@ -12,17 +12,14 @@ runs, so the store's recovery invariant holds at every crash point:
 * a **torn tail** (the crash landed mid-append) → the scanner
   truncates the half-record and the batch never happened.
 
-Records also serve as the epoch's *history*: the service keeps one
-MIDAS engine for a bounded number of batches, and each manifest pins
-the base that engine was built from.  Recovery rebuilds the engine at
-the base and replays the records in ``(base, watermark]`` into it
-(checked against the committed pattern set), then replays the records
-past the watermark as live batches.  So the log is checkpointed at
-the epoch base, not at every commit, and holds at most one epoch of
-history plus the batches no commit folded in yet.  Replay is a pure
-function of (base, records): records at or below the base, which
-survive a crash between the manifest rename and the checkpoint, are
-filtered out by sequence number, never re-applied.
+Recovery replays only the records past the manifest's watermark,
+through the MIDAS engine the manifest checkpointed.  Records at or
+below the watermark are never read again: :meth:`WriteAheadLog.scan`
+filters them out by sequence number, so they are harmless wherever
+they survive, and a commit cuts them from the log
+(:meth:`WriteAheadLog.checkpoint`) only once every
+:data:`repro.store.backends.WAL_CUT_EVERY` batches, because a cut
+rewrites the file.
 """
 
 from __future__ import annotations
@@ -130,13 +127,13 @@ class WriteAheadLog:
         return pending, truncated
 
     def checkpoint(self, watermark: int) -> None:
-        """Drop every record at or below ``watermark`` (the epoch
-        base a manifest has just pinned).
+        """Drop every record at or below ``watermark`` (the sequence
+        a manifest has just committed).
 
         Rewritten atomically (temp + fsync + rename + directory
         fsync) so a crash mid-checkpoint leaves the previous log
         intact; surviving stale records are harmless because replay
-        filters on the pinned base's sequence number.
+        filters on the watermark's sequence number.
         """
         pending, _ = self.scan(watermark, repair=False)
         temp = self.path + ".tmp"

@@ -2,7 +2,11 @@
 
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -125,6 +129,26 @@ class TestDrift:
         a = {"x": 1.0}
         b = {"x": 0.0, "y": 1.0}
         assert gfd_distance(a, b) == pytest.approx(math.sqrt(2.0))
+
+    def test_every_hash_seed_computes_the_same_bits(self):
+        # MIDAS thresholds this value, and a recovered process must
+        # classify a batch as the crashed one did
+        code = ("import random\n"
+                "from repro.graphlets import GRAPHLET_KEYS, gfd_distance\n"
+                "rng = random.Random(5)\n"
+                "a, b = ({key: rng.random() for key in GRAPHLET_KEYS}\n"
+                "        for _ in range(2))\n"
+                "print(repr(gfd_distance(a, b)))\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        values = set()
+        for seed in range(6):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed))
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")]))
+            values.add(subprocess.run(
+                [sys.executable, "-c", code], env=env, check=True,
+                capture_output=True, text=True, timeout=120).stdout)
+        assert len(values) == 1
 
     def test_structural_shift_detected(self):
         paths = [path_graph(6) for _ in range(5)]

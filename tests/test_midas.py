@@ -1,4 +1,7 @@
-"""Tests for MIDAS: FCT index, swapping, and maintenance."""
+"""Tests for MIDAS: FCT index, swapping, maintenance, checkpoints."""
+
+import json
+from unittest import mock
 
 import pytest
 
@@ -19,6 +22,13 @@ from repro.patterns import (
     Pattern,
     PatternBudget,
     SetScorer,
+)
+from repro.resilience import Deadline
+from repro.store import (
+    decode_graph_record,
+    decode_pattern_blob,
+    encode_graph_record,
+    encode_pattern_blob,
 )
 
 import random
@@ -238,9 +248,8 @@ class TestMidas:
         assert "assigned" in midas.membership
 
     def test_rebuilt_engine_reuses_the_process_cache(self, repo, budget):
-        # a durable service builds a new engine every epoch and at
-        # recovery; its matching questions are the ones the previous
-        # engine asked
+        # a service builds a new engine after every build; its
+        # matching questions are the ones the previous engine asked
         config = PipelineConfig(budget=budget, seed=1)
         obs.reset(clear_cache_entries=True)
         first = Midas(repo[:12], config)
@@ -249,3 +258,113 @@ class TestMidas:
         second = Midas(repo[:12], config)
         assert obs.matching_snapshot()["vf2_calls"] == 0
         assert second.patterns.codes() == first.patterns.codes()
+
+
+def outcome(report):
+    """A report's stats without its wall time."""
+    stats = dict(report.stats)
+    del stats["duration"]
+    return stats
+
+
+class TestCheckpoints:
+    """``Midas.restore(state())`` is the engine that was checkpointed:
+    restored from decoded graphs, a decoded pattern blob and a JSON
+    round trip of its state, as a durable service restores it, it
+    applies the rest of a stream exactly as the live engine does."""
+
+    @pytest.fixture(scope="class")
+    def config(self, budget):
+        return PipelineConfig(budget=budget, seed=1)
+
+    @pytest.fixture(scope="class")
+    def run(self, repo, config):
+        """A 10-batch stream with major batches, and the live
+        engine's checkpoint, repository, panel and report at each
+        position."""
+        evolving = EvolvingRepository([g.copy() for g in repo[:20]])
+        batches = []
+        for batch in generate_update_stream(evolving, 10, 4, seed=9,
+                                            drift_after=0):
+            evolving.apply(batch)
+            batches.append(batch)
+        engine = Midas(repo[:20], config)
+        checkpoints, reports = [], [None]
+
+        def checkpoint():
+            checkpoints.append((
+                json.dumps(engine.state(), sort_keys=True),
+                [encode_graph_record(g) for g in engine.graphs()],
+                encode_pattern_blob(engine.patterns)))
+
+        checkpoint()
+        for batch in batches:
+            reports.append(outcome(engine.apply_batch(batch)))
+            checkpoint()
+        assert "major" in {report["kind"] for report in reports[1:]}
+        return batches, checkpoints, reports
+
+    @staticmethod
+    def restore(config, checkpoint):
+        state, records, blob = checkpoint
+        return Midas.restore([decode_graph_record(r) for r in records],
+                             config, decode_pattern_blob(blob),
+                             json.loads(state))
+
+    def test_every_position_restores_the_rest_of_the_stream(
+            self, run, config):
+        batches, checkpoints, reports = run
+        for start in range(len(batches)):
+            engine = self.restore(config, checkpoints[start])
+            assert checkpoints[start][0] == json.dumps(
+                engine.state(), sort_keys=True)
+            for index in range(start, len(batches)):
+                report = outcome(engine.apply_batch(batches[index]))
+                state, _, blob = checkpoints[index + 1]
+                assert reports[index + 1] == report, start
+                assert blob == encode_pattern_blob(engine.patterns)
+                assert state == json.dumps(engine.state(),
+                                           sort_keys=True), start
+
+    def test_restore_runs_no_selection(self, run, config):
+        _, checkpoints, _ = run
+        with mock.patch.object(Midas, "_initialize",
+                               side_effect=AssertionError("selected")):
+            engine = self.restore(config, checkpoints[3])
+        assert not engine.degraded
+        assert engine.trace is None
+
+    def test_other_settings_refuse_the_checkpoint(self, run, config,
+                                                  budget):
+        _, checkpoints, _ = run
+        for other in (PipelineConfig(budget=budget, seed=2),
+                      PipelineConfig(budget=PatternBudget(6), seed=1),
+                      config.with_options(max_scans=1),
+                      PipelineConfig(budget=budget, seed=1,
+                                     max_embeddings=10)):
+            with pytest.raises(MaintenanceError, match="settings"):
+                self.restore(other, checkpoints[3])
+        # workers and tracing do not change results
+        self.restore(PipelineConfig(budget=budget, seed=1, workers=1,
+                                    trace=True), checkpoints[3])
+
+    def test_a_checkpoint_that_misses_a_graph_is_refused(self, run,
+                                                         config):
+        _, checkpoints, _ = run
+        state, records, blob = checkpoints[3]
+        with pytest.raises(MaintenanceError, match="graph"):
+            self.restore(config, (state, records[1:], blob))
+
+    def test_a_stale_summary_leaves_no_checkpoint(self, repo, config):
+        engine = Midas(repo[:20], config)
+        assert engine.state() is not None
+        fresh = generate_chemical_repository(4, seed=77)
+        for graph in fresh:
+            graph.name = f"fresh-{graph.name}"
+        batch = UpdateBatch(added=fresh,
+                            removed=[g.name for g in repo[:6]])
+        with mock.patch.object(Deadline, "check", return_value=True):
+            report = engine.apply_batch(batch)
+        assert report.modified_clusters > 1
+        assert report.degraded
+        assert engine.state() is None

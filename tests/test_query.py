@@ -3,9 +3,11 @@
 import pytest
 
 from repro.datasets import NetworkConfig, generate_chemical_repository, \
-    generate_network
+    generate_network, generate_network_workload
 from repro.errors import GraphError
 from repro.graph import build_graph, cycle_graph, path_graph
+from repro.graph.operations import induced_subgraph
+from repro.matching import WILDCARD
 from repro.patterns import Pattern
 from repro.query import (
     AddEdge,
@@ -163,6 +165,28 @@ class TestQueryEngine:
         brute = [idx for idx in range(len(repo))
                  if labels <= set(repo[idx].label_multiset())]
         assert engine.candidate_graphs(query) == brute
+
+    def test_network_query_pool_candidates(self):
+        # the service benchmark's net-explore pool (400 queries on the
+        # default network) over that network and its five one-label-
+        # short induced subgraphs: every candidate list is the one the
+        # queries' compact label tables give
+        network = generate_network(NetworkConfig(), seed=1)
+        labels = sorted({network.node_label(u) for u in network.nodes()})
+        repository = [network] + [
+            induced_subgraph(network, [u for u in network.nodes()
+                                       if network.node_label(u) != lab])
+            for lab in labels]
+        engine = QueryEngine(repository)
+        held = [set(graph.label_index()) for graph in repository]
+        lists = set()
+        for query in generate_network_workload(network, 400, seed=1):
+            wanted = set(query.compact().node_labels) - {WILDCARD}
+            expected = [idx for idx, present in enumerate(held)
+                        if wanted <= present]
+            assert engine.candidate_graphs(query) == expected
+            lists.add(tuple(expected))
+        assert len(lists) > 2
 
     def test_absent_label_short_circuits(self, engine):
         # a label no graph carries empties the intersection regardless

@@ -21,6 +21,7 @@ The headline suites pin the service's concurrency contract:
 import json
 import os
 import socket
+import subprocess
 import sys
 import threading
 from pathlib import Path
@@ -1092,6 +1093,25 @@ class TestWorkersEnvIndependence:
         assert response.status == 200
         assert pools == []
         svc.close()
+
+
+class TestServePathImports:
+    def test_a_server_start_imports_no_numpy(self):
+        # only repro.vqi.layout's spring_layout uses numpy, and no
+        # route lays anything out, so serving must not import it
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        code = ("import sys\n"
+                "import repro.cli, repro.service, repro.service.server, "
+                "repro.store\n"
+                "print('numpy' in sys.modules)\n")
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True,
+                                timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
 
 
 if __name__ == "__main__":

@@ -17,10 +17,11 @@ Layered like the store itself:
   every durable site (WAL append/read, segment append/read, pattern
   blob write, manifest commit) recovers to the *pre-batch or the
   post-batch* pattern set, bitwise — never a hybrid, never a crash;
-* **engine epochs** — a durable service keeps its MIDAS engine for
-  ``EPOCH_BATCHES`` batches and serves what a memory-backed one
-  does; the same faults, fired mid-epoch and at the rollover,
-  recover bitwise by replay from the pinned base, and the next batch
+* **engine checkpoints** — a durable service keeps one MIDAS engine
+  and serves what a memory-backed one does after every batch; each
+  commit carries the engine's checkpoint, so the same faults, fired
+  anywhere in a long stream and around a WAL cut, recover bitwise
+  with the engine restored (never re-selected), and the next batch
   lands where a run that never crashed does.
 
 The same seed must yield the same outcome at every worker count —
@@ -28,6 +29,7 @@ The same seed must yield the same outcome at every worker count —
 and ``=4``.
 """
 
+import json
 import os
 import tempfile
 import threading
@@ -67,8 +69,8 @@ from repro.service import (
     strip_volatile,
     wire,
 )
-from repro.service.app import EPOCH_BATCHES
 from repro.store import (
+    WAL_CUT_EVERY,
     DiskBackend,
     MemoryBackend,
     WriteAheadLog,
@@ -117,10 +119,10 @@ def disk_service(root):
                           backend=DiskBackend(str(root)))
 
 
-def epoch_stream(count=EPOCH_BATCHES + 3):
+def checkpoint_stream(count=3 * WAL_CUT_EVERY):
     """A 3-in/3-out batch stream over :func:`make_repo` whose
-    additions drift from batch 6 on: enough batches to cross the
-    first epoch's rollover."""
+    additions drift from batch 6 on: minor and major batches, across
+    three cuts of the WAL."""
     repository = EvolvingRepository(make_repo())
     batches = []
     for batch in generate_update_stream(repository, count, 3, seed=5,
@@ -131,9 +133,26 @@ def epoch_stream(count=EPOCH_BATCHES + 3):
     return batches
 
 
-def replay_mismatches():
+def engine_mismatches():
     return metrics.registry().counters.get(
-        "store.recovery.replay_mismatch", 0)
+        "store.recovery.engine_mismatch", 0)
+
+
+def initializations():
+    """Patch ``Midas._initialize`` to count its calls into the
+    returned list."""
+    calls = []
+    initialize = Midas._initialize
+
+    def counted(engine):
+        calls.append(engine)
+        return initialize(engine)
+
+    return mock.patch.object(Midas, "_initialize", counted), calls
+
+
+def manifest_of(root):
+    return load_manifest(os.path.join(root, "manifest.json"))
 
 
 def pattern_bytes(service):
@@ -401,8 +420,8 @@ class TestSegments(unittest.TestCase):
     def test_insertion_order_gets_its_own_record(self):
         # same name, same sorted content, different insertion order:
         # one fingerprint, two records, each decoding in its own
-        # order (epoch replay rebuilds base graphs in the order the
-        # live engine saw them)
+        # order (a restored engine's repository is in the order the
+        # live engine saw it)
         forward = Graph(name="mol")
         backward = Graph(name="mol")
         for graph, nodes in ((forward, (1, 2, 3)), (backward, (3, 2, 1))):
@@ -894,13 +913,14 @@ class TestCrashMatrix(unittest.TestCase):
         root, names = self.small_roll_store()
         # the last segment holds a batch-added graph the manifest
         # still references (the first holds only removed members);
-        # the epoch's history cannot rebuild a repository that lost
-        # a graph, so the store starts a new epoch, and says so
+        # the committed engine describes a repository that lost a
+        # graph, so the store drops it, and says so
         plan = FaultPlan(
             [FaultSpec(segments_mod.SITE_READ, "short_read",
                        keys=[names[-1]])], seed=13)
         with chaos(plan):
-            with self.assertWarnsRegex(UserWarning, "new epoch"):
+            with self.assertWarnsRegex(UserWarning,
+                                       "builds a new engine"):
                 recovered = PatternService(
                     make_repo(), PipelineConfig(budget=BUDGET, seed=3),
                     backend=DiskBackend(root))
@@ -909,6 +929,7 @@ class TestCrashMatrix(unittest.TestCase):
         self.assertEqual([names[-1]], report.quarantined_segments)
         self.assertTrue(report.dropped_graphs)
         self.assertEqual(self.post, pattern_bytes(recovered))
+        self.assertIsNone(recovered._midas)
         recovered.close()
 
     def test_total_segment_loss_is_typed_corruption(self):
@@ -924,16 +945,16 @@ class TestCrashMatrix(unittest.TestCase):
                     backend=DiskBackend(root))
 
 
-# -------------------------------------------------------- engine epochs
+# --------------------------------------------------- engine checkpoints
 
 
-class TestEpochs(unittest.TestCase):
-    """A durable service keeps its engine for an epoch and recovers it
-    by replay from the pinned base."""
+class TestEngineCheckpoints(unittest.TestCase):
+    """A durable service keeps one engine and recovers it from the
+    checkpoint each commit carries."""
 
     @classmethod
     def setUpClass(cls):
-        cls.batches = epoch_stream()
+        cls.batches = checkpoint_stream()
         real_fsync = os.fsync
         counted = []
 
@@ -944,18 +965,20 @@ class TestEpochs(unittest.TestCase):
         with tempfile.TemporaryDirectory() as tmp:
             disk = disk_service(tmp)
             cls.panels = [pattern_bytes(disk)]
+            cls.states = [None]
             with mock.patch.object(os, "fsync", counting):
                 for batch in cls.batches:
                     counted.append(0)
                     disk.apply_maintenance(batch)
                     cls.panels.append(pattern_bytes(disk))
+                    cls.states.append(disk._midas.state())
             cls.fsyncs = counted
             disk.close()
         memory = PatternService(make_repo(),
                                 PipelineConfig(budget=BUDGET, seed=3),
                                 backend=MemoryBackend())
         cls.memory_panels = [pattern_bytes(memory)]
-        for batch in cls.batches[:EPOCH_BATCHES]:
+        for batch in cls.batches:
             memory.apply_maintenance(batch)
             cls.memory_panels.append(pattern_bytes(memory))
         memory.close()
@@ -965,28 +988,33 @@ class TestEpochs(unittest.TestCase):
         self.addCleanup(self._tmp.cleanup)
         self.root = self._tmp.name
 
-    def test_the_stream_changes_the_panel(self):
-        self.assertGreater(len(set(self.panels)), EPOCH_BATCHES // 2)
-
-    def test_disk_serves_the_memory_panels_through_the_epoch(self):
-        for index, expected in enumerate(self.memory_panels):
-            with self.subTest(batches=index):
-                self.assertEqual(expected, self.panels[index])
-
-    def test_a_mid_epoch_batch_makes_two_fewer_fsyncs(self):
-        # every batch adds three new records; only the batch that
-        # starts an epoch cuts the log at its base (file + directory)
-        starts = self.fsyncs[EPOCH_BATCHES]
-        for index, count in enumerate(self.fsyncs):
-            if index != EPOCH_BATCHES:
-                with self.subTest(batch=index + 1):
-                    self.assertEqual(starts - 2, count)
-
     def apply(self, service, batches):
         for batch in batches:
             service.apply_maintenance(batch)
 
-    def test_every_crash_point_recovers_mid_epoch(self):
+    def test_the_stream_changes_the_panel(self):
+        self.assertGreaterEqual(len(self.batches), 48)
+        self.assertGreater(len(set(self.panels)), len(self.batches) // 4)
+
+    def test_disk_serves_the_memory_panels_after_every_batch(self):
+        for index, expected in enumerate(self.memory_panels):
+            with self.subTest(batches=index):
+                self.assertEqual(expected, self.panels[index])
+
+    def test_a_mid_stream_batch_makes_two_fewer_fsyncs(self):
+        # every batch adds three new records; only a batch whose
+        # sequence is a multiple of WAL_CUT_EVERY cuts the log (file +
+        # directory), and the checkpoint rides in the manifest
+        cuts = [index for index in range(len(self.fsyncs))
+                if (index + 1) % WAL_CUT_EVERY == 0]
+        self.assertEqual(3, len(cuts))
+        cut = self.fsyncs[cuts[0]]
+        for index, count in enumerate(self.fsyncs):
+            with self.subTest(batch=index + 1):
+                self.assertEqual(cut if index in cuts else cut - 2,
+                                 count)
+
+    def test_every_crash_point_recovers_mid_stream(self):
         for after in (1, 5, 15, 16, 17):
             for site, kind, expected in CRASH_MATRIX:
                 with self.subTest(after=after, site=site, kind=kind):
@@ -994,8 +1022,9 @@ class TestEpochs(unittest.TestCase):
 
     def crash_cell(self, after, site, kind, expected):
         """``after`` committed batches, then (site, kind) fires on the
-        next: recovery lands on the pre- or post-batch panel, and
-        the batch after it on the never-crashed run's panel."""
+        next: recovery restores the engine (no selection runs) and
+        lands on the pre- or post-batch panel, and the batch after
+        it on the never-crashed run's panel."""
         with tempfile.TemporaryDirectory() as root:
             service = disk_service(root)
             self.apply(service, self.batches[:after])
@@ -1007,90 +1036,143 @@ class TestEpochs(unittest.TestCase):
                     service.apply_maintenance(self.batches[after])
             self.assertEqual(1, len(plan.fired))
             service.close()
-            mismatches = replay_mismatches()
-            with warnings.catch_warnings():
+            mismatches = engine_mismatches()
+            counting, calls = initializations()
+            with counting, warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # torn WAL tails
                 recovered = disk_service(root)
+            self.assertEqual([], calls)
             landed = after + (expected == "post")
             self.assertEqual(self.panels[landed],
                              pattern_bytes(recovered))
-            self.assertEqual(mismatches, replay_mismatches())
+            self.assertEqual(mismatches, engine_mismatches())
             self.apply(recovered, self.batches[landed:landed + 1])
             self.assertEqual(self.panels[landed + 1],
                              pattern_bytes(recovered))
             recovered.close()
 
-    def test_reboot_replays_the_history_and_keeps_the_epoch(self):
+    def test_reboot_restores_the_engine_without_initializing(self):
         service = disk_service(self.root)
-        self.apply(service, self.batches[:EPOCH_BATCHES + 2])
+        count = WAL_CUT_EVERY + 2
+        self.apply(service, self.batches[:count])
         service.close()
-        document = load_manifest(
-            os.path.join(self.root, "manifest.json"))
-        self.assertEqual(EPOCH_BATCHES, document["epoch"]["wal_seq"])
+        document = manifest_of(self.root)
+        self.assertNotIn("epoch", document)
+        self.assertEqual(count, document["engine"]["batch_index"])
+        # the log was cut at the last multiple of WAL_CUT_EVERY
         logged, _ = WriteAheadLog(
             os.path.join(self.root, "wal.log")).scan(0, repair=False)
-        self.assertEqual([EPOCH_BATCHES + 1, EPOCH_BATCHES + 2],
+        self.assertEqual([WAL_CUT_EVERY + 1, WAL_CUT_EVERY + 2],
                          [seq for seq, _ in logged])
-        recovered = disk_service(self.root)
-        self.assertEqual(2, recovered.recovery.history_batches)
+        with mock.patch.object(Midas, "_initialize",
+                               side_effect=AssertionError("selected")):
+            recovered = disk_service(self.root)
         self.assertEqual(0, recovered.recovery.replayed_batches)
-        self.assertEqual(self.panels[EPOCH_BATCHES + 2],
-                         pattern_bytes(recovered))
-        self.apply(recovered, self.batches[EPOCH_BATCHES + 2:])
-        self.assertEqual(self.panels[-1], pattern_bytes(recovered))
+        self.assertEqual(self.panels[count], pattern_bytes(recovered))
+        self.assertEqual(self.states[count], recovered._midas.state())
+        for index in range(count, len(self.batches)):
+            recovered.apply_maintenance(self.batches[index])
+            with self.subTest(batches=index + 1):
+                self.assertEqual(self.panels[index + 1],
+                                 pattern_bytes(recovered))
+                self.assertEqual(self.states[index + 1],
+                                 recovered._midas.state())
         recovered.close()
 
-    def test_replay_mismatch_serves_the_committed_blob(self):
+    def test_a_commit_without_a_live_engine_carries_none(self):
+        service = disk_service(self.root)
+        self.assertNotIn("engine", manifest_of(self.root))  # a build
+        self.apply(service, self.batches[:1])
+        self.assertIn("engine", manifest_of(self.root))
+        with mock.patch.object(Midas, "apply_batch",
+                               side_effect=RuntimeError("injected")):
+            with self.assertRaises(RuntimeError):
+                service.apply_maintenance(self.batches[1])
+        self.assertNotIn("engine", manifest_of(self.root))
+        self.apply(service, self.batches[1:2])
+        self.assertIn("engine", manifest_of(self.root))
+        service.publish_build(make_repo(), service.snapshots.current()
+                              .patterns, "catapult")
+        self.assertNotIn("engine", manifest_of(self.root))
+        service.close()
+
+    def test_a_settings_mismatch_serves_the_committed_blob(self):
         service = disk_service(self.root)
         self.apply(service, self.batches[:3])
         service.close()
-        load = DiskBackend.load
-
-        def short_history(backend):
-            state = load(backend)
-            state.history = state.history[:-1]
-            return state
-
-        for fault in (mock.patch.object(Midas, "apply_batch",
-                                        side_effect=RuntimeError("x")),
-                      mock.patch.object(DiskBackend, "load",
-                                        short_history)):
-            with self.subTest(fault=fault.attribute):
-                mismatches = replay_mismatches()
-                with fault:
-                    with self.assertWarnsRegex(UserWarning,
-                                               "new epoch"):
-                        recovered = disk_service(self.root)
-                self.assertEqual(mismatches + 1, replay_mismatches())
-                self.assertEqual(self.panels[3],
-                                 pattern_bytes(recovered))
+        others = {
+            "seed": PipelineConfig(budget=BUDGET, seed=4),
+            "budget": PipelineConfig(
+                budget=PatternBudget(5, min_size=4, max_size=7),
+                seed=3),
+            "drift_threshold": PipelineConfig(
+                budget=BUDGET, seed=3,
+                options={"drift_threshold": 0.5}),
+        }
+        for name, config in others.items():
+            with self.subTest(setting=name):
+                mismatches = engine_mismatches()
+                with self.assertWarnsRegex(UserWarning,
+                                           "builds a new engine"):
+                    recovered = PatternService(
+                        make_repo(), config,
+                        backend=DiskBackend(self.root))
+                self.assertEqual(mismatches + 1, engine_mismatches())
+                self.assertIsNone(recovered._midas)
+                # the panel lists the service's own budget
+                self.assertEqual(
+                    json.loads(self.panels[3])["patterns"],
+                    json.loads(pattern_bytes(recovered))["patterns"])
                 recovered.close()
-        # the next batch starts a new epoch at the committed state
-        with mock.patch.object(DiskBackend, "load", short_history):
-            with self.assertWarns(UserWarning):
-                recovered = disk_service(self.root)
-        recovered.apply_maintenance(self.batches[3])
+        # workers and tracing change no result: the engine restores
+        recovered = PatternService(
+            make_repo(), PipelineConfig(budget=BUDGET, seed=3,
+                                        workers=1, trace=True),
+            backend=DiskBackend(self.root))
+        self.assertIsNotNone(recovered._midas)
         recovered.close()
-        document = load_manifest(
-            os.path.join(self.root, "manifest.json"))
-        self.assertEqual(3, document["epoch"]["wal_seq"])
+        # the next batch builds a new engine at the committed state
+        with self.assertWarns(UserWarning):
+            recovered = PatternService(
+                make_repo(), others["seed"],
+                backend=DiskBackend(self.root))
+        counting, calls = initializations()
+        with counting:
+            recovered.apply_maintenance(self.batches[3])
+        self.assertEqual(1, len(calls))
+        recovered.close()
+        document = manifest_of(self.root)
         self.assertEqual(4, document["wal_seq"])
+        self.assertEqual(4, document["engine"]["settings"]["seed"])
+        self.assertEqual(1, document["engine"]["batch_index"])
 
-    def test_a_manifest_without_an_epoch_loads(self):
+    def test_an_epoch_only_manifest_serves_the_committed_blob(self):
+        # stores written before engine checkpoints pin an epoch base
+        # instead; they load with no engine, and the next batch
+        # builds one
         service = disk_service(self.root)
         self.apply(service, self.batches[:2])
         service.close()
         path = os.path.join(self.root, "manifest.json")
         document = load_manifest(path)
-        del document["epoch"]
+        del document["engine"]
+        document["epoch"] = {"wal_seq": 0,
+                             "repository": document["repository"]}
         write_manifest(path, document)
-        recovered = disk_service(self.root)
-        self.assertEqual(0, recovered.recovery.history_batches)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            recovered = disk_service(self.root)
+        self.assertIsNone(recovered._midas)
         self.assertEqual(self.panels[2], pattern_bytes(recovered))
-        recovered.apply_maintenance(self.batches[2])
+        counting, calls = initializations()
+        with counting:
+            recovered.apply_maintenance(self.batches[2])
+        self.assertEqual(1, len(calls))
         recovered.close()
         document = load_manifest(path)
-        self.assertEqual(2, document["epoch"]["wal_seq"])
+        self.assertEqual(3, document["wal_seq"])
+        self.assertNotIn("epoch", document)
+        self.assertEqual(1, document["engine"]["batch_index"])
 
 
 # ------------------------------------------------- error taxonomy

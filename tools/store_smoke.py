@@ -19,10 +19,13 @@ scenario and each of ``REPRO_WORKERS=1`` and ``=4``:
    record was durable, the post-batch panel when it landed after —
    and identical across both worker counts;
 4. posts the batch that follows the recovered state and asserts the
-   panel equals the one a run that never crashed serves (mid-epoch,
-   the recovered engine is the one replayed from the epoch's base);
-5. stops the recovered server with SIGTERM and asserts the graceful
-   shutdown path exits 0.
+   panel and the batch report equal the ones a run that never
+   crashed serves: after a commit, recovery restores the MIDAS
+   engine checkpointed in the manifest (and replays any WAL batch
+   past the watermark through it), so the batch continues that
+   engine's numbering instead of starting a new one;
+5. stops the recovered server with SIGTERM, asserts the graceful
+   shutdown path exits 0, and reads its banner's replay count.
 
 The expected panels come from an in-process control service driven
 with the same data, seed, and batches.  Any divergence fails the run
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import signal
 import socket
 import subprocess
@@ -55,21 +59,25 @@ sys.path.insert(0, SRC_DIR)
 WORKER_COUNTS = ("1", "4")
 
 #: (name, chaos site, fault kind, 1-based site call, batches
-#: committed before the fatal one, expected state).  ``wal-torn``
-#: dies half-way through the WAL append — the batch never became
-#: durable, so recovery must serve the pre-batch panel.
-#: ``commit-crash`` dies after the maintain's manifest rename (call 1
-#: is the initial build's commit) — the batch is fully durable, so
-#: recovery must serve the post-batch panel.  ``mid-epoch`` commits
-#: three batches on one engine and dies after the fourth's manifest
-#: rename, so recovery replays four batches of history from the
-#: epoch's base.
+#: committed before the fatal one, expected state, WAL batches the
+#: recovery replays).  ``wal-torn`` dies half-way through the WAL
+#: append — the batch never became durable, so recovery must serve
+#: the pre-batch panel.  ``commit-crash`` dies after the maintain's
+#: manifest rename (call 1 is the initial build's commit) — the batch
+#: is fully durable, so recovery must serve the post-batch panel.
+#: ``restart`` commits three batches on one engine and dies after the
+#: fourth's manifest rename, so recovery restores the engine that
+#: applied four.  ``wal-replay`` dies once the fourth batch's WAL
+#: record is durable, so recovery restores the engine of three and
+#: replays the fourth through it.
 SCENARIOS = (
-    ("wal-torn", "store.wal.append", "torn_write", 1, 0, "pre"),
+    ("wal-torn", "store.wal.append", "torn_write", 1, 0, "pre", 0),
     ("commit-crash", "store.manifest.commit",
-     "crash_after_n_records", 2, 0, "post"),
-    ("mid-epoch", "store.manifest.commit",
-     "crash_after_n_records", 5, 3, "post"),
+     "crash_after_n_records", 2, 0, "post", 0),
+    ("restart", "store.manifest.commit",
+     "crash_after_n_records", 5, 3, "post", 0),
+    ("wal-replay", "store.wal.append",
+     "crash_after_n_records", 4, 3, "post", 1),
 )
 
 #: Batches in the stream: the longest scenario's committed and fatal
@@ -185,9 +193,17 @@ def batch_stream(data_path: str) -> List[dict]:
              "remove": list(batch.removed)} for batch in batches]
 
 
-def control_panels(data_path: str, stream: List[dict]) -> List[bytes]:
-    """The panel after each prefix of ``stream``, from an in-process
-    control service constructed exactly like the CLI child's."""
+def report_bytes(report: dict) -> bytes:
+    """A maintenance report without its wall time."""
+    return json.dumps({key: value for key, value in report.items()
+                       if key != "duration"}, sort_keys=True).encode()
+
+
+def control_run(data_path: str, stream: List[dict]
+                ) -> Tuple[List[bytes], List[bytes]]:
+    """The panel after each prefix of ``stream`` and each batch's
+    report, from an in-process control service constructed exactly
+    like the CLI child's."""
     from repro.core.pipeline import PipelineConfig
     from repro.datasets import UpdateBatch
     from repro.graph.io import graph_from_dict, read_lg
@@ -204,23 +220,26 @@ def control_panels(data_path: str, stream: List[dict]) -> List[bytes]:
         assert reply.status == 200
         return wire.dumps(strip_volatile(reply.body))
 
-    panels = [panel()]
+    panels, reports = [panel()], []
     for payload in stream:
-        service.apply_maintenance(UpdateBatch(
+        _, report = service.apply_maintenance(UpdateBatch(
             added=[graph_from_dict(item) for item in payload["add"]],
             removed=list(payload["remove"])))
         panels.append(panel())
+        reports.append(report_bytes(
+            json.loads(wire.dumps(report.stats))))
     service.close()
-    for _, _, _, _, committed, _ in SCENARIOS:
+    for _, _, _, _, committed, _, _ in SCENARIOS:
         assert panels[committed] != panels[committed + 1], \
             "each scenario's fatal batch must change the panel"
-    return panels
+    return panels, reports
 
 
 def run_scenario(name: str, site: str, kind: str, call: int,
-                 committed: int, expected: str, data: str,
-                 store_root: str, workers: str, stream: List[dict],
-                 controls: List[bytes],
+                 committed: int, expected: str, replayed: int,
+                 data: str, store_root: str, workers: str,
+                 stream: List[dict], controls: List[bytes],
+                 reports: List[bytes],
                  failures: List[str]) -> Optional[bytes]:
     store = os.path.join(store_root, f"{name}-w{workers}")
     proc, port = launch(data, store, workers,
@@ -254,17 +273,22 @@ def run_scenario(name: str, site: str, kind: str, call: int,
                         f"the {expected}-batch control, bitwise")
     _, metrics = http("GET", port, "/v1/metrics")
     if metrics["metrics"]["counters"].get(
-            "store.recovery.replay_mismatch"):
-        failures.append(f"{name} w{workers}: the epoch's history "
-                        "replay did not re-derive the committed panel")
-    http("POST", port, "/v1/patterns/maintain", stream[landed])
+            "store.recovery.engine_mismatch"):
+        failures.append(f"{name} w{workers}: the committed engine "
+                        "did not fit the recovered service")
+    _, reply = http("POST", port, "/v1/patterns/maintain",
+                    stream[landed])
     if canonical_panel(port) != controls[landed + 1]:
         failures.append(f"{name} w{workers}: the batch after "
                         "recovery served a panel the never-crashed "
                         "control did not")
+    if report_bytes(reply["report"]) != reports[landed]:
+        failures.append(f"{name} w{workers}: the batch after "
+                        "recovery reported what the never-crashed "
+                        "control's engine did not")
     survivor.send_signal(signal.SIGTERM)
     try:
-        survivor.wait(timeout=30)
+        out, _ = survivor.communicate(timeout=30)
     except subprocess.TimeoutExpired:
         survivor.kill()
         failures.append(f"{name} w{workers}: SIGTERM did not stop "
@@ -273,6 +297,12 @@ def run_scenario(name: str, site: str, kind: str, call: int,
     if survivor.returncode != 0:
         failures.append(f"{name} w{workers}: graceful shutdown "
                         f"exited {survivor.returncode}")
+    banner = re.search(r"^recovered (?:\(\+(\d+) WAL batch\(es\)\) )?"
+                       r"\d+ patterns", out.decode(errors="replace"),
+                       re.MULTILINE)
+    if banner is None or int(banner.group(1) or 0) != replayed:
+        failures.append(f"{name} w{workers}: recovery did not replay "
+                        f"{replayed} WAL batch(es)")
     return recovered
 
 
@@ -284,13 +314,15 @@ def main() -> int:
         from repro.graph.io import write_lg
         write_lg(generate_chemical_repository(10, seed=7), data)
         stream = batch_stream(data)
-        controls = control_panels(data, stream)
-        for name, site, kind, call, committed, expected in SCENARIOS:
+        controls, reports = control_run(data, stream)
+        for (name, site, kind, call, committed, expected,
+             replayed) in SCENARIOS:
             per_worker: Dict[str, Optional[bytes]] = {}
             for workers in WORKER_COUNTS:
                 per_worker[workers] = run_scenario(
-                    name, site, kind, call, committed, expected, data,
-                    tmp, workers, stream, controls, failures)
+                    name, site, kind, call, committed, expected,
+                    replayed, data, tmp, workers, stream, controls,
+                    reports, failures)
                 print(f"{name} (workers={workers}): killed at "
                       f"{site}/{kind} after {committed} committed "
                       f"batch(es), recovered {expected}-batch")
